@@ -16,9 +16,10 @@ in ``BENCH_PR7.json`` comes from.  With ``max_batch <= 1`` or
 ``max_delay <= 0`` the coalescer degrades to per-request dispatch
 (the bench's baseline mode).
 
-The router's batch calls are synchronous (they fan out on their own
-thread pool), so flushes run in an executor via
-``loop.run_in_executor`` — the event loop never blocks on index work.
+The router's batch calls are synchronous (they loop over their shards
+on the calling thread), so flushes run on the coalescer's own 4-thread
+executor via ``loop.run_in_executor`` — the event loop never blocks on
+index work, and that executor is the request's one thread hop.
 Each queued request holds an :class:`asyncio.Future`; a failed flush
 fails every future in the batch, never silently drops one.
 """
@@ -85,7 +86,6 @@ class Coalescer:
         self,
         max_batch: int = 128,
         max_delay: float = 0.001,
-        executor: Optional[ThreadPoolExecutor] = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -93,8 +93,7 @@ class Coalescer:
             raise ValueError(f"max_delay must be >= 0, got {max_delay}")
         self.max_batch = max_batch
         self.max_delay = max_delay
-        self._executor = executor
-        self._owns_executor = executor is None
+        self._executor: Optional[ThreadPoolExecutor] = None
         self._queues: Dict[Tuple[int, str], _Queue] = {}
         self._routers: Dict[int, ShardRouter] = {}
         self.batches_flushed = 0
@@ -113,13 +112,13 @@ class Coalescer:
         return self._executor
 
     def close(self) -> None:
-        """Flush nothing further; shut the owned executor down."""
+        """Flush nothing further; shut the executor down."""
         for queue in self._queues.values():
             if queue.timer is not None:
                 queue.timer.cancel()
                 queue.timer = None
         self._queues.clear()
-        if self._owns_executor and self._executor is not None:
+        if self._executor is not None:
             self._executor.shutdown(wait=False)
             self._executor = None
 
@@ -238,16 +237,14 @@ class Coalescer:
         started = loop.time()
 
         def call() -> Any:
-            if batch_span is not None and tracer is not None:
-                with tracer.adopt(batch_span):
-                    if kind == _GET:
-                        return router.get_many(payloads)
-                    return router.put_many(payloads)
             if kind == _GET:
                 return router.get_many(payloads)
             return router.put_many(payloads)
 
-        dispatch = loop.run_in_executor(self._pool(), call)
+        task = call
+        if batch_span is not None and tracer is not None:
+            task = _adopting(tracer, batch_span, call)
+        dispatch = loop.run_in_executor(self._pool(), task)
         dispatch.add_done_callback(
             lambda done: self._resolve(kind, entries, done, batch_span, started)
         )

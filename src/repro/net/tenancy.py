@@ -65,7 +65,6 @@ class TenantDirectory:
         specs: Sequence[TenantSpec],
         budget: Optional[MemoryBudget] = None,
         default_quota: Optional[TenantQuota] = None,
-        max_workers_per_group: int = 2,
         durability_root: Optional[Union[str, Path]] = None,
     ) -> None:
         if not specs:
@@ -87,7 +86,6 @@ class TenantDirectory:
                 family=spec.family,
                 num_shards=spec.num_shards,
                 partitioning=spec.partitioning,
-                max_workers=max_workers_per_group,
                 durability=durability,
                 replication_factor=spec.replication_factor,
                 replica_profiles=spec.replica_profiles,

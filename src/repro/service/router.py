@@ -3,11 +3,12 @@
 A :class:`ShardRouter` owns N :class:`~repro.service.shard.Shard`\\ s and
 a :class:`~repro.service.partition.Partitioner`, and exposes the familiar
 index surface in batched form: ``get_many`` / ``put_many`` split each
-request into per-shard sub-batches and execute them on a
-``ThreadPoolExecutor`` (OLC B+-tree shards run truly concurrently;
-locked families serialize per shard), ``scan`` merges ordered results
-across shards (concatenation under range partitioning, a k-way heap
-merge under hash partitioning).
+request into per-shard sub-batches and run them one after another on
+the calling thread, ``scan`` merges ordered results across shards
+(concatenation under range partitioning, a k-way heap merge under hash
+partitioning).  A served request already runs on the coalescer's
+executor thread; a second pool here would buy no parallel shard work
+under the GIL, only a thread hop per batch.
 
 Online **shard split/merge** reuses the PR-1 build-aside+swap
 discipline: the affected shards are write-frozen (reads keep flowing on
@@ -47,17 +48,8 @@ import heapq
 import itertools
 import threading
 from bisect import bisect_left
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.budget import BudgetArbiter, MemoryBudget
 from repro.durability.log import DurableLog
@@ -68,8 +60,7 @@ from repro.durability.manager import (
     partitioner_spec,
 )
 from repro.faults.injector import fault_point
-from repro.obs.runtime import active_registry, active_tracer
-from repro.obs.tracing import Span, Tracer
+from repro.obs.runtime import active_registry
 from repro.service.partition import (
     HashPartitioner,
     Key,
@@ -81,22 +72,8 @@ from repro.service.shard import Pair, Shard, span_if_traced
 
 IndexFactory = Callable[[List[Pair]], Any]
 
-_DEFAULT_MAX_WORKERS = 8
-
 #: RA004: span-name literal for the fan-out layer.
 _ROUTE_SPAN = "service.route"
-
-
-def _adopted(
-    tracer: Tracer, span: Span, task: Callable[[], None]
-) -> Callable[[], None]:
-    """Carry ``span`` across the executor hop so shard spans nest under it."""
-
-    def run() -> None:
-        with tracer.adopt(span):
-            task()
-
-    return run
 
 
 class ReadOnlyShardError(RuntimeError):
@@ -163,7 +140,6 @@ class ShardRouter:
         shards: Sequence[Shard],
         partitioner: Partitioner,
         index_factory: IndexFactory,
-        max_workers: int = _DEFAULT_MAX_WORKERS,
         budget: Optional[MemoryBudget] = None,
         durability: Optional[DurabilityManager] = None,
         epoch: int = 0,
@@ -181,12 +157,7 @@ class ShardRouter:
                     )
         self._table = _RoutingTable(partitioner, tuple(shards))
         self._index_factory = index_factory
-        self._max_workers = max_workers
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._executor_lock = threading.Lock()
         self._admin_lock = threading.Lock()
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
         self.splits = 0
         self.merges = 0
         self.checkpoints = 0
@@ -209,7 +180,6 @@ class ShardRouter:
         family: str = "olc",
         num_shards: int = 4,
         partitioning: str = "hash",
-        max_workers: int = _DEFAULT_MAX_WORKERS,
         budget: Optional[MemoryBudget] = None,
         index_factory: Optional[IndexFactory] = None,
         durability: Optional[DurabilityManager] = None,
@@ -309,7 +279,6 @@ class ShardRouter:
                 shards,
                 partitioner,
                 index_factory,
-                max_workers=max_workers,
                 budget=budget,
                 durability=durability,
                 epoch=0,
@@ -342,7 +311,6 @@ class ShardRouter:
             shards,
             partitioner,
             index_factory,
-            max_workers=max_workers,
             budget=budget,
             durability=durability,
             epoch=0,
@@ -353,7 +321,6 @@ class ShardRouter:
         cls,
         durability: DurabilityManager,
         family: str = "olc",
-        max_workers: int = _DEFAULT_MAX_WORKERS,
         budget: Optional[MemoryBudget] = None,
         index_factory: Optional[IndexFactory] = None,
     ) -> "ShardRouter":
@@ -382,7 +349,6 @@ class ShardRouter:
                 manifest,
                 partitioner,
                 orphans_removed,
-                max_workers=max_workers,
                 budget=budget,
             )
         thread_safe = family in THREAD_SAFE_FAMILIES
@@ -408,7 +374,6 @@ class ShardRouter:
             shards,
             partitioner,
             index_factory,
-            max_workers=max_workers,
             budget=budget,
             durability=durability,
             epoch=manifest.epoch,
@@ -430,7 +395,6 @@ class ShardRouter:
         manifest: Manifest,
         partitioner: Partitioner,
         orphans_removed: int,
-        max_workers: int = _DEFAULT_MAX_WORKERS,
         budget: Optional[MemoryBudget] = None,
     ) -> "ShardRouter":
         """Rebuild a replicated router: every replica from its own log.
@@ -499,7 +463,6 @@ class ShardRouter:
             shards,
             partitioner,
             FAMILY_FACTORIES["adaptive"],
-            max_workers=max_workers,
             budget=budget,
             durability=durability,
             epoch=manifest.epoch,
@@ -520,13 +483,8 @@ class ShardRouter:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the executor and release log handles (idempotent)."""
-        with self._executor_lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-        table = self._table
-        for shard in table.shards:
+        """Release log handles (idempotent)."""
+        for shard in self._table.shards:
             shard.close_logs()
 
     def __enter__(self) -> "ShardRouter":
@@ -548,55 +506,10 @@ class ShardRouter:
         """Number of shards currently serving."""
         return len(self._table.shards)
 
-    @property
-    def queue_depth(self) -> int:
-        """Per-shard sub-batches currently in flight on the executor."""
-        return self._inflight
-
     def shard_for(self, key: Key) -> Shard:
         """The shard currently serving ``key``."""
         table = self._table
         return table.shards[table.partitioner.shard_of(key)]
-
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
-                    thread_name_prefix="repro-service",
-                )
-            return self._executor
-
-    def _run_per_shard(self, tasks: Sequence[Callable[[], None]]) -> None:
-        """Execute per-shard thunks, on the pool when it pays off."""
-        if self._max_workers <= 0 or len(tasks) <= 1:
-            for task in tasks:
-                task()
-            return
-        # A traced request's span lives on *this* thread's stack; re-adopt
-        # it on each pool thread so shard spans keep their parent.
-        tracer = active_tracer()
-        if tracer is not None:
-            parent = tracer.current()
-            if parent is not None:
-                tasks = [_adopted(tracer, parent, task) for task in tasks]
-        with self._inflight_lock:
-            self._inflight += len(tasks)
-        registry = active_registry()
-        if registry is not None:
-            registry.gauge("service.queue_depth").set(self._inflight)
-        try:
-            futures: List[Future[None]] = [
-                self._pool().submit(task) for task in tasks
-            ]
-            wait(futures)
-            for future in futures:
-                exception = future.exception()
-                if exception is not None:
-                    raise exception
-        finally:
-            with self._inflight_lock:
-                self._inflight -= len(tasks)
 
     @staticmethod
     def _group_positions(
@@ -624,31 +537,22 @@ class ShardRouter:
             return self.shard_for(key).get(key)
 
     def get_many(self, keys: Sequence[Key]) -> List[Optional[int]]:
-        """Values aligned with ``keys``; sub-batches run per shard."""
+        """Values aligned with ``keys``; one sub-batch per shard, in turn."""
         keys = list(keys)
         if not keys:
             return []
         table = self._table
         groups = self._group_positions(table, keys)
         results: List[Optional[int]] = [None] * len(keys)
-
-        def reader(shard: Shard, positions: List[int]) -> Callable[[], None]:
-            def run() -> None:
-                values = shard.get_many([keys[position] for position in positions])
-                for position, value in zip(positions, values):
-                    results[position] = value
-
-            return run
-
         with span_if_traced(
             _ROUTE_SPAN, op="get_many", count=len(keys), fanout=len(groups)
         ):
-            self._run_per_shard(
-                [
-                    reader(table.shards[shard_id], positions)
-                    for shard_id, positions in groups.items()
-                ]
-            )
+            for shard_id, positions in groups.items():
+                values = table.shards[shard_id].get_many(
+                    [keys[position] for position in positions]
+                )
+                for position, value in zip(positions, values):
+                    results[position] = value
         self._count_ops("read", len(keys))
         return results
 
@@ -656,7 +560,7 @@ class ShardRouter:
         """Up to ``count`` pairs in key order starting at ``start_key``.
 
         Range partitions concatenate shard results in shard order; hash
-        partitions scan every shard in parallel and k-way merge.
+        partitions scan every shard and k-way merge.
         """
         if count <= 0:
             return []
@@ -674,23 +578,10 @@ class ShardRouter:
                     result.extend(shard.scan(start_key, need))
             self._count_ops("scan", 1)
             return result[:count]
-        per_shard: List[List[Pair]] = [[] for _ in table.shards]
-
-        def scanner(position: int, shard: Shard) -> Callable[[], None]:
-            def run() -> None:
-                per_shard[position] = shard.scan(start_key, count)
-
-            return run
-
         with span_if_traced(
             _ROUTE_SPAN, op="scan", count=count, fanout=len(table.shards)
         ):
-            self._run_per_shard(
-                [
-                    scanner(position, shard)
-                    for position, shard in enumerate(table.shards)
-                ]
-            )
+            per_shard = [shard.scan(start_key, count) for shard in table.shards]
         self._count_ops("scan", 1)
         merged = heapq.merge(*per_shard, key=lambda pair: pair[0])
         return list(itertools.islice(merged, count))
@@ -705,30 +596,23 @@ class ShardRouter:
         self._count_ops("write", 1)
 
     def put_many(self, pairs: Sequence[Pair]) -> None:
-        """Upsert a batch; sub-batches run per shard in input order."""
+        """Upsert a batch; one sub-batch per shard, in turn.
+
+        The first failing sub-batch raises and later shards are not
+        written.
+        """
         pairs = list(pairs)
         if not pairs:
             return
         table = self._table
         groups = self._group_positions(table, [key for key, _ in pairs])
-
-        def writer(shard: Shard, positions: List[int]) -> Callable[[], None]:
-            def run() -> None:
-                self._write_group(
-                    shard, [pairs[position] for position in positions]
-                )
-
-            return run
-
         with span_if_traced(
             _ROUTE_SPAN, op="put_many", count=len(pairs), fanout=len(groups)
         ):
-            self._run_per_shard(
-                [
-                    writer(table.shards[shard_id], positions)
-                    for shard_id, positions in groups.items()
-                ]
-            )
+            for shard_id, positions in groups.items():
+                self._write_group(
+                    table.shards[shard_id], [pairs[position] for position in positions]
+                )
         self._count_ops("write", len(pairs))
 
     def _write_group(self, shard: Shard, group: List[Pair]) -> None:
@@ -1117,7 +1001,6 @@ class ShardRouter:
             "durable": self._durability is not None,
             "epoch": self._epoch,
             "checkpoints": self.checkpoints,
-            "queue_depth": self.queue_depth,
             "budget": self.arbiter.describe(),
             "shards": [
                 {**shard.stats(), "shard_id": position}

@@ -1,6 +1,7 @@
 """ShardRouter: batched routing, cross-shard scans, metrics, budgets."""
 
 import random
+import threading
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.core.budget import MemoryBudget
 from repro.obs import MetricsRegistry, Telemetry
 from repro.service.partition import PartitionError
 from repro.service.router import FAMILY_FACTORIES, ReadOnlyShardError, ShardRouter
+from repro.service.shard import Shard
 
 FAMILIES = ("olc", "adaptive", "dualstage")
 PARTITIONINGS = ("hash", "range")
@@ -101,13 +103,25 @@ class TestPointAndBatchedOps:
             assert router.get(-77) is None
             assert router.delete(-77) is False
 
-    def test_inline_mode_without_executor(self):
-        with ShardRouter.build(
-            int_pairs(200), num_shards=4, partitioning="hash", max_workers=0
-        ) as router:
-            keys = [key for key, _ in int_pairs(200)]
-            assert router.get_many(keys) == [value for _, value in int_pairs(200)]
-            assert router.queue_depth == 0
+    def test_shard_calls_stay_on_the_callers_thread(self, monkeypatch):
+        threads = []
+        for name in ("get_many", "put_many", "scan"):
+            original = getattr(Shard, name)
+
+            def recording(self, *args, _original=original):
+                threads.append(threading.get_ident())
+                return _original(self, *args)
+
+            monkeypatch.setattr(Shard, name, recording)
+        pairs = int_pairs(200)
+        with ShardRouter.build(pairs, num_shards=4, partitioning="hash") as router:
+            keys = [key for key, _ in pairs]
+            assert router.get_many(keys) == [value for _, value in pairs]
+            router.put_many([(key, 7) for key in keys])
+            assert router.scan(0, 50) == [(key, 7) for key in keys[:50]]
+        # Four shards per call: every sub-batch ran, none on another thread.
+        assert len(threads) == 12
+        assert set(threads) == {threading.get_ident()}
 
 
 class TestCrossShardScan:

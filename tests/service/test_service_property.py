@@ -31,7 +31,6 @@ class RouterAgreesWithModel(RuleBasedStateMachine):
             family="olc",
             num_shards=num_shards,
             partitioning="range",
-            max_workers=0,
         )
 
     def teardown(self):
