@@ -137,7 +137,7 @@ def run_recovery_bench(tail_lengths=(0, 4_000, 16_000), batch_size=BATCH_SIZE):
             router.close()
             begin = time.perf_counter()
             recovered = ShardRouter.recover(
-                DurabilityManager(root / "store", sync="none"), family="olc"
+                DurabilityManager(root / "store", sync="none")
             )
             elapsed = time.perf_counter() - begin
             summary = recovered.last_recovery or {}

@@ -8,19 +8,22 @@ The :class:`DurabilityManager` owns one directory tree::
       snap/<log_id>.<lsn>.snap
 
 ``MANIFEST.json`` is the *commit point* of the whole store.  It names
-the current epoch, the partitioner, and the ordered shard log ids; it
-is rewritten — build-aside, ``os.replace``, directory fsync, behind the
-``durability.manifest.swap`` fault point — exactly when shard topology
-changes (bootstrap, split, merge).  Recovery trusts only logs the
-manifest names: a crash mid-split leaves either the old manifest (new
-half-built logs are swept as orphans) or the new one (old sealed logs
-are swept), so there is no torn routing state to reason about.
+the current epoch, the partitioner, the recipe each replica is built
+from, and per routing position the ordered log ids of that shard's
+replicas; it is rewritten — build-aside, ``os.replace``, directory
+fsync, behind the ``durability.manifest.swap`` fault point — exactly
+when shard topology changes (bootstrap, split, merge).  Recovery trusts
+only logs the manifest names: a crash mid-split leaves either the old
+manifest (new half-built logs are swept as orphans) or the new one (old
+sealed logs are swept), so there is no torn routing state to reason
+about.
 
-Log ids encode the routing epoch (``e00000017-p0003`` = epoch 17,
-position 3), which is what lets split/merge *re-key* shards: retiring
-a shard seals its log under the old id and builds successors under
-fresh ids, so a stale writer can never durably append to a log that
-the manifest no longer reaches.
+Every shard is a replica set of N >= 1 copies with one log per copy, so
+there is one log-id scheme: ``e00000017-p0003-r01`` = epoch 17,
+position 3, replica 1.  Encoding the routing epoch is what lets
+split/merge *re-key* shards: retiring a shard seals its logs under the
+old ids and builds successors under fresh ids, so a stale writer can
+never durably append to a log that the manifest no longer reaches.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from repro.faults.injector import fault_point
 from repro.fst.serialize import CorruptSerializationError
 from repro.obs.runtime import active_registry
 
-MANIFEST_FORMAT = 1
+MANIFEST_FORMAT = 2
 
 #: RA004: literal instrument names.
 _COUNTERS = {
@@ -54,20 +57,17 @@ Pair = Tuple[Key, int]
 class Manifest:
     """The durable routing epoch: which logs exist and how keys route.
 
-    ``shards`` lists the *primary* log id per routing position.  A
-    replicated store additionally carries ``replicas``: the replication
-    factor, the per-replica divergence profile names (so recovery
-    rebuilds each copy under the same policy it crashed with), and the
-    full per-shard replica log id lists — every id a recovery must
-    consider reachable.
+    ``recipes`` names how each replica is built — an index family
+    (``"olc"``, ``"adaptive"``, ...) or a divergence profile
+    (``"point"``, ``"scan"``, ...) — so recovery rebuilds every copy the
+    way it was built before the crash.  ``shards`` lists, per routing
+    position, one log id per replica in recipe order.
     """
 
     epoch: int
     partitioner: Dict[str, Any]
-    shards: List[str]  # primary log ids, in routing-table order
-    #: Replication block: {"factor": int, "profiles": [str], "logs":
-    #: [[str]]} — or None for a plain single-copy store.
-    replicas: Optional[Dict[str, Any]] = None
+    recipes: List[str]
+    shards: List[List[str]]
 
 
 def partitioner_spec(partitioner: Any) -> Dict[str, Any]:
@@ -132,19 +132,9 @@ class DurabilityManager:
         return self.root / "MANIFEST.json"
 
     @staticmethod
-    def log_id(epoch: int, position: int) -> str:
-        """The durable name of the shard at ``position`` in ``epoch``."""
-        return f"e{epoch:08d}-p{position:04d}"
-
-    @staticmethod
-    def replica_log_id(epoch: int, position: int, replica: int) -> str:
-        """The durable name of one replica's private log.
-
-        Replica 0 is the primary named in ``Manifest.shards``; every
-        replica (0 included) carries the ``-rNN`` suffix so a replicated
-        store's log ids never collide with a plain store's.
-        """
-        return f"{DurabilityManager.log_id(epoch, position)}-r{replica:02d}"
+    def log_id(epoch: int, position: int, replica: int) -> str:
+        """The durable name of one replica's log at ``position`` in ``epoch``."""
+        return f"e{epoch:08d}-p{position:04d}-r{replica:02d}"
 
     # ------------------------------------------------------------------
     # Manifest (the commit point)
@@ -162,10 +152,9 @@ class DurabilityManager:
             "format": MANIFEST_FORMAT,
             "epoch": manifest.epoch,
             "partitioner": manifest.partitioner,
-            "shards": list(manifest.shards),
+            "recipes": list(manifest.recipes),
+            "shards": [list(log_ids) for log_ids in manifest.shards],
         }
-        if manifest.replicas is not None:
-            payload["replicas"] = manifest.replicas
         encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         crc = zlib.crc32(encoded.encode("utf-8")) & 0xFFFFFFFF
         blob = json.dumps({"crc": crc, "payload": payload}, sort_keys=True).encode("utf-8")
@@ -197,27 +186,21 @@ class DurabilityManager:
             raise CorruptSerializationError("manifest checksum mismatch")
         if payload.get("format") != MANIFEST_FORMAT:
             raise CorruptSerializationError(f"unsupported manifest format {payload.get('format')}")
-        shards = payload["shards"]
-        if not isinstance(shards, list) or not all(isinstance(s, str) for s in shards):
-            raise CorruptSerializationError("manifest shard list is malformed")
-        replicas = payload.get("replicas")
-        if replicas is not None:
-            if (
-                not isinstance(replicas, dict)
-                or not isinstance(replicas.get("factor"), int)
-                or not isinstance(replicas.get("profiles"), list)
-                or not isinstance(replicas.get("logs"), list)
-                or not all(
-                    isinstance(ids, list) and all(isinstance(i, str) for i in ids)
-                    for ids in replicas["logs"]
-                )
-            ):
-                raise CorruptSerializationError("manifest replica block is malformed")
+        recipes, shards = payload.get("recipes"), payload.get("shards")
+        if not isinstance(recipes, list) or not all(isinstance(r, str) for r in recipes):
+            raise CorruptSerializationError("manifest recipe list is malformed")
+        if not isinstance(shards, list) or not all(
+            isinstance(ids, list)
+            and len(ids) == len(recipes)
+            and all(isinstance(i, str) for i in ids)
+            for ids in shards
+        ):
+            raise CorruptSerializationError("manifest shard log lists are malformed")
         return Manifest(
             epoch=int(payload["epoch"]),
             partitioner=dict(payload["partitioner"]),
-            shards=list(shards),
-            replicas=replicas,
+            recipes=list(recipes),
+            shards=[list(ids) for ids in shards],
         )
 
     def has_manifest(self) -> bool:
@@ -261,10 +244,7 @@ class DurabilityManager:
         mid-split/merge) and unpublished ``*.tmp`` aside files are all
         unreachable by construction, so deleting them is safe.
         """
-        referenced = set(manifest.shards)
-        if manifest.replicas is not None:
-            for log_ids in manifest.replicas.get("logs", []):
-                referenced.update(log_ids)
+        referenced = {log_id for log_ids in manifest.shards for log_id in log_ids}
         removed = 0
         for path in self.wal_dir.iterdir():
             if path.suffix == ".tmp" or (

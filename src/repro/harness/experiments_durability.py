@@ -354,12 +354,12 @@ def experiment_crash_campaign(
                 )
                 try:
                     with replay_injector.install():
-                        recovered_router = ShardRouter.recover(durability, family=family)
+                        recovered_router = ShardRouter.recover(durability)
                 except InjectedFault:
                     recovery_crashes += 1
                     recovered_router = None
             if recovered_router is None:
-                recovered_router = ShardRouter.recover(durability, family=family)
+                recovered_router = ShardRouter.recover(durability)
             router = recovered_router
             summary = router.last_recovery or {}
             frames_replayed += int(summary.get("frames_replayed", 0))

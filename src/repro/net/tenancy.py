@@ -10,9 +10,9 @@ the paper's premise (adaptation driven by the workload each index
 actually observes) carried through to multi-tenant serving.
 
 The directory also owns the service-wide
-:class:`~repro.core.budget.ResourceArbiter`: every shard of every
-group is registered as a ``<tenant>/shard-<n>`` memory member (one
-global :class:`~repro.core.budget.MemoryBudget` carved across all
+:class:`~repro.core.budget.ResourceArbiter`: every family-built shard
+of every group is registered as a ``<tenant>/shard-<n>`` memory member
+(one global :class:`~repro.core.budget.MemoryBudget` carved across all
 tenants, key-count proportional), and each tenant's admission quota
 (ops/sec bucket + bounded inflight) is installed from its spec.  The
 network front end asks the arbiter per request; the directory is where
@@ -41,7 +41,7 @@ class TenantSpec:
     partitioning: str = "hash"
     quota: Optional[TenantQuota] = None
     pairs: Sequence[Pair] = field(default_factory=tuple)
-    #: >1 provisions every shard as a replica set of divergently
+    #: >1 provisions every shard's replica set with divergently
     #: adapting copies (requires the ``"adaptive"`` family).
     replication_factor: int = 1
     replica_profiles: Optional[Sequence[str]] = None
@@ -94,13 +94,10 @@ class TenantDirectory:
             self._specs[spec.name] = spec
             self.arbiter.register_tenant(spec.name, spec.quota)
             for position, shard in enumerate(router.table.shards):
-                if shard.is_replicated:
-                    # Replica budgets are per-profile divergence policy;
-                    # the global arbiter must not rebalance over them.
-                    continue
-                self.arbiter.register_memory_member(
-                    spec.name, f"shard-{position}", shard.index
-                )
+                for index in shard.arbitrated_indexes():
+                    self.arbiter.register_memory_member(
+                        spec.name, f"shard-{position}", index
+                    )
         self.arbiter.rebalance()
 
     # ------------------------------------------------------------------

@@ -166,8 +166,8 @@ def render_snapshot(
         for tenant, shard_list in sorted(shards.items()):
             for shard in shard_list:
                 shard_label = tenant + "/" + str(shard.get("shard_id", "?"))
-                replicas = shard.get("replicas")
-                if replicas:
+                replicas = shard.get("replicas") or []
+                if len(replicas) > 1:
                     # A replicated shard renders one row per replica —
                     # the whole point of divergence is that the copies
                     # differ, so an aggregate row would hide the signal.

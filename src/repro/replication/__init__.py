@@ -1,11 +1,11 @@
 """Divergent per-replica adaptation: replica sets and cost-based routing.
 
-Where :mod:`repro.service` keeps exactly one copy of each shard, this
-package keeps **N read replicas per shard** and — the point — lets each
-replica's :class:`~repro.core.manager.AdaptationManager` diverge under a
-named :class:`~repro.replication.profiles.ReplicaProfile` (point-tuned,
-scan-tuned, memory-squeezed).  Reads are steered by a
-:class:`~repro.replication.routing.ReplicaRouter` that scores every
+Every :mod:`repro.service` shard is a replica set of **N >= 1
+replicas**, each built from a named recipe: a plain index family, or —
+the point of N > 1 — a :class:`~repro.replication.profiles.ReplicaProfile`
+under which that replica's :class:`~repro.core.manager.AdaptationManager`
+diverges (point-tuned, scan-tuned, memory-squeezed).  Reads are steered
+by a :class:`~repro.replication.routing.ReplicaRouter` that scores every
 replica from its measured modeled cost, its encoding census, and its
 staleness; writes fan out to every live replica through the existing
 ``write_gate`` discipline and per-replica WALs, so durability semantics
@@ -20,6 +20,7 @@ at.  See ``docs/replication.md`` for the full design.
 """
 
 from repro.replication.profiles import (
+    FAMILY_RECIPES,
     REPLICA_PROFILES,
     ReplicaProfile,
     resolve_profiles,
@@ -33,6 +34,7 @@ from repro.replication.replica_set import (
 from repro.replication.routing import ReplicaRouter
 
 __all__ = [
+    "FAMILY_RECIPES",
     "REPLICA_PROFILES",
     "Replica",
     "ReplicaProfile",

@@ -1,24 +1,29 @@
-"""Named divergence profiles for per-shard read replicas.
+"""Named build recipes for the replicas of a shard.
 
-A :class:`ReplicaProfile` is the *policy* half of a replica: it decides
-how that copy's adaptation manager is tuned — how much memory budget it
-may spend on expansions, how patient its CSHF is before compacting cold
-leaves, and which read class (point or scan) the replica router should
-seed toward it before any cost has been measured.  The *mechanism*
-(skip-sampling, classification, migration) is exactly the paper's
+Every shard is a replica set of N >= 1 copies, and each copy is built
+from a named recipe.  A :class:`FamilyRecipe` builds a plain store of
+one index family (``olc``, ``adaptive``, ``dualstage``, ``hybridtrie``)
+with its defaults.  A :class:`ReplicaProfile` is the *policy* half of a
+divergent replica: it decides how that copy's adaptation manager is
+tuned — how much memory budget it may spend on expansions, how patient
+its CSHF is before compacting cold leaves, and which read class (point
+or scan) the replica router should seed toward it before any cost has
+been measured.  The *mechanism* (skip-sampling, classification,
+migration) is exactly the paper's
 :class:`~repro.core.manager.AdaptationManager`; a profile only changes
-its knobs, so every replica remains an ordinary adaptive B+-tree.
+its knobs, so every profiled replica remains an ordinary adaptive
+B+-tree.
 
-Profiles are registered by name in :data:`REPLICA_PROFILES` because the
-names are persisted in the durability manifest: recovery must rebuild a
-replica with the *same* divergence policy it crashed with, not a
+Recipes are registered by name in :data:`RECIPES` because the names are
+persisted in the durability manifest: recovery and split/merge must
+rebuild a replica with the *same* recipe it was built with, not a
 generic one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.bptree.hybrid import BTREE_ENCODING_ORDER, AdaptiveBPlusTree
 from repro.bptree.leaves import LeafEncoding
@@ -41,8 +46,54 @@ _SQUEEZED_BITS_PER_KEY = 8.0
 
 
 @dataclass(frozen=True)
+class FamilyRecipe:
+    """A plain store: one index family, bulk-loaded with its defaults."""
+
+    name: str
+    build_index: Callable[[Sequence[Pair]], Any]
+    #: The family synchronizes itself (no per-replica operation lock).
+    thread_safe: bool = False
+    #: Plain stores declare no read-class preference to the replica router.
+    affinity: ClassVar[Optional[str]] = None
+
+
+def _olc(pairs: Sequence[Pair]) -> Any:
+    from repro.bptree.olc import OlcBPlusTree
+
+    return OlcBPlusTree.bulk_load(list(pairs))
+
+
+def _adaptive(pairs: Sequence[Pair]) -> Any:
+    return AdaptiveBPlusTree.bulk_load_adaptive(list(pairs))
+
+
+def _dualstage(pairs: Sequence[Pair]) -> Any:
+    from repro.dualstage.index import DualStageIndex
+
+    return DualStageIndex.bulk_load(list(pairs))
+
+
+def _hybridtrie(pairs: Sequence[Pair]) -> Any:
+    from repro.hybridtrie.tree import HybridTrie
+
+    return HybridTrie(list(pairs))
+
+
+#: Family name -> plain-store recipe.
+FAMILY_RECIPES: Dict[str, FamilyRecipe] = {
+    "olc": FamilyRecipe("olc", _olc, thread_safe=True),
+    "adaptive": FamilyRecipe("adaptive", _adaptive),
+    "dualstage": FamilyRecipe("dualstage", _dualstage),
+    "hybridtrie": FamilyRecipe("hybridtrie", _hybridtrie),
+}
+
+
+@dataclass(frozen=True)
 class ReplicaProfile:
     """How one replica of a shard is allowed to adapt."""
+
+    #: Profiled replicas are adaptive B+-trees, serialized by their lock.
+    thread_safe: ClassVar[bool] = False
 
     name: str
     description: str
@@ -155,8 +206,21 @@ REPLICA_PROFILES: Dict[str, ReplicaProfile] = {
     ),
 }
 
+#: Every persistable recipe name: plain families and divergence profiles.
+RECIPES: Dict[str, Any] = {**FAMILY_RECIPES, **REPLICA_PROFILES}
+
 #: Default specialist line-up, in the order factors consume them.
 _DEFAULT_ORDER = ("point", "scan", "squeezed")
+
+
+def resolve_recipes(names: Sequence[str]) -> List[Any]:
+    """The recipe per name, raising ValueError on any unknown name."""
+    missing = [name for name in names if name not in RECIPES]
+    if missing:
+        raise ValueError(
+            f"unknown recipes {missing}; expected names from {sorted(RECIPES)}"
+        )
+    return [RECIPES[name] for name in names]
 
 
 def resolve_profiles(

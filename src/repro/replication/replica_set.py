@@ -1,24 +1,28 @@
-"""A replica set behind the :class:`~repro.service.shard.Shard` surface.
+"""Every service shard is a replica set of N >= 1 copies.
 
-:class:`ReplicatedShard` *is a* service shard — the
-:class:`~repro.service.router.ShardRouter` routes to it, gates writes on
-it, and checkpoints it exactly like a plain shard — but inside it keeps
-N :class:`Replica` copies of the same key range, each an ordinary
-:class:`~repro.service.shard.Shard` wrapping its own adaptive index and
-(when durable) its own WAL.
+The :class:`~repro.service.router.ShardRouter` routes to a
+:class:`ReplicatedShard`, gates writes on it, checkpoints it, and
+splits or merges it — there is no other shard shape.  Inside, the set
+keeps N :class:`Replica` copies of the same key range, each an ordinary
+:class:`~repro.service.shard.Shard` wrapping its own index (and, when
+durable, its own WAL), built from a named recipe: a plain index family
+or a divergence :class:`~repro.replication.profiles.ReplicaProfile`.
 
 **Reads** are steered to one replica by the
 :class:`~repro.replication.routing.ReplicaRouter`; a replica that fails
 a read is marked down and the batch is rerouted to a survivor without
 surfacing the failure.  **Writes** fan out to every live replica in
-replica order (under the replicated shard's operation lock, so all
-replica WALs record the same append order and their LSNs stay
-comparable).  A replica whose WAL append fails — a poisoned log, a full
-disk — is fenced and marked down while the survivors acknowledge; the
-write only fails when *no* replica durably accepted it.  Down replicas
-count the writes they miss (``behind``), which is both the router's
-staleness penalty and recovery's signal for which copy is
-authoritative.
+replica order (under the set's operation lock, so all replica WALs
+record the same append order and their LSNs stay comparable).  A
+replica whose write fails — a poisoned log, a full disk — is fenced and
+marked down while the survivors acknowledge.  Down replicas count the
+writes they miss (``behind``), which is both the router's staleness
+penalty and recovery's signal for which copy is authoritative.
+
+With one live replica there is nothing to choose between, so a set of
+N = 1 behaves as the plain shard it wraps: no scoring, no cost sampling
+and no pick metrics, and an error propagates to the caller unchanged
+without marking the last live copy down.
 
 Invariant: every *acknowledged* write is applied (and, when durable,
 logged) on every replica that is up at acknowledgment time — so any
@@ -28,13 +32,29 @@ reconciles stragglers from the copy with the highest WAL LSN.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, TypeVar
+import threading
+from contextlib import nullcontext
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    ContextManager,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    TypeVar,
+)
 
 from repro.obs.runtime import active_registry
 from repro.replication.profiles import ReplicaProfile
 from repro.replication.routing import ReplicaRouter
 from repro.service.partition import Key
 from repro.service.shard import Pair, Shard, span_if_traced
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.durability.log import DurableLog
 
 T = TypeVar("T")
 
@@ -66,10 +86,13 @@ def _counter_delta(
 
 
 class Replica:
-    """One copy of a shard: an inner Shard plus divergence/health state."""
+    """One copy of a shard: an inner Shard plus recipe and health state."""
 
-    def __init__(self, replica_id: int, profile: ReplicaProfile, shard: Shard) -> None:
+    def __init__(self, replica_id: int, profile: Any, shard: Shard) -> None:
         self.replica_id = replica_id
+        #: The recipe this copy is built from (a FamilyRecipe or a
+        #: ReplicaProfile); split/merge, revive and recovery rebuild it
+        #: the same way.
         self.profile = profile
         #: The inner plain shard: owns the index, the op lock, and (when
         #: durable) this replica's private WAL.
@@ -85,9 +108,11 @@ class Replica:
         self.routed_batches: Dict[str, int] = {}
 
 
-class ReplicatedShard(Shard):
-    """N divergent replicas presented as one service shard."""
+class ReplicatedShard:
+    """N >= 1 replicas presented as one service shard."""
 
+    #: Always true (every router shard is a replica set); the
+    #: benchmark's timing shims read it.
     is_replicated = True
 
     def __init__(
@@ -97,16 +122,54 @@ class ReplicatedShard(Shard):
         router: Optional[ReplicaRouter] = None,
     ) -> None:
         if not replicas:
-            raise ValueError("a replicated shard needs at least one replica")
-        primary = replicas[0]
-        super().__init__(
-            shard_id,
-            primary.shard.index,
-            thread_safe=False,
-            durable_log=primary.shard.durable_log,
-        )
+            raise ValueError("a replica set needs at least one replica")
+        #: The position this set was built for.  Purely informational:
+        #: the router derives routing positions from the table index.
+        self.shard_id = shard_id
         self.replicas: List[Replica] = list(replicas)
         self.router = router or ReplicaRouter()
+        #: Orders write batches against split/merge, checkpoint and revive.
+        self.write_gate = threading.RLock()
+        #: Serializes the write fan-out, so every replica WAL records the
+        #: same append order.  Reads never take it.
+        self.op_lock = threading.RLock()
+
+    def _guard(self) -> ContextManager[Any]:
+        return self.op_lock
+
+    # ------------------------------------------------------------------
+    # Per-set properties
+    # ------------------------------------------------------------------
+    @property
+    def recipes(self) -> List[Any]:
+        """The recipe of every replica, in replica order."""
+        return [replica.profile for replica in self.replicas]
+
+    @property
+    def supports_writes(self) -> bool:
+        """False for build-once families (the HybridTrie has no insert)."""
+        return all(replica.shard.supports_writes for replica in self.replicas)
+
+    def logs(self) -> List["DurableLog"]:
+        """Every replica's log, in replica order (empty when not durable)."""
+        return [
+            replica.shard.durable_log
+            for replica in self.replicas
+            if replica.shard.durable_log is not None
+        ]
+
+    def arbitrated_indexes(self) -> List[Any]:
+        """The replica indexes the global BudgetArbiter may rebalance.
+
+        Family-built replicas join the global pool.  Profile-built ones
+        never do: their budget is divergence policy, and a global
+        rebalance would erase the very asymmetry replication exploits.
+        """
+        return [
+            replica.shard.index
+            for replica in self.replicas
+            if not isinstance(replica.profile, ReplicaProfile)
+        ]
 
     # ------------------------------------------------------------------
     # Replica health
@@ -139,7 +202,7 @@ class ReplicatedShard(Shard):
         """Rebuild a down replica from a live copy and re-admit it.
 
         The replacement index is bulk-loaded under the replica's *own*
-        profile (divergence policy survives the outage) from the
+        recipe (divergence policy survives the outage) from the
         authoritative replica's content, and a fresh snapshot heals its
         log.  A replica whose WAL is poisoned cannot be revived in
         process — only :meth:`~repro.service.router.ShardRouter.recover`
@@ -206,11 +269,16 @@ class ReplicatedShard(Shard):
 
         A replica that raises mid-read is marked down and the batch is
         retried on the next-best copy — the caller never sees a single
-        replica failure.  Only when the last replica fails does the
-        router's pick raise :class:`ReplicaSetUnavailableError`.
+        replica failure while another copy is live.  With one live copy
+        the read goes straight to it and its error propagates as is;
+        with none, the router's pick raises
+        :class:`ReplicaSetUnavailableError`.
         Measurement is skip-sampled: on sampled batches the replica's
         structural counter delta is priced and folded into its EWMA.
         """
+        alive = self._alive()
+        if len(alive) == 1:
+            return self._read_sole(alive[0], operations, request)
         with span_if_traced(
             _REPLICA_OP_SPAN, op=op, shard_id=self.shard_id, kind=kind
         ):
@@ -224,9 +292,11 @@ class ReplicatedShard(Shard):
                 except Exception as error:
                     self.mark_down(replica, f"{op} failed: {error!r}")
                     self._note_fallback()
+                    alive = self._alive()
+                    if len(alive) == 1:
+                        return self._read_sole(alive[0], operations, request)
                     continue
                 replica.reads_routed += operations
-                self._note_ops(operations)
                 if before is not None:
                     self.router.observe(
                         replica,
@@ -235,6 +305,19 @@ class ReplicatedShard(Shard):
                         operations,
                     )
                 return result
+
+    @staticmethod
+    def _read_sole(
+        replica: Replica, operations: int, request: Callable[[Replica], T]
+    ) -> T:
+        """Serve a read from the only live copy.
+
+        Nothing to choose between: no span, scoring, sampling or pick
+        metrics, and an error propagates as is with the copy left up.
+        """
+        result = request(replica)
+        replica.reads_routed += operations
+        return result
 
     def _note_fallback(self) -> None:
         registry = active_registry()
@@ -250,11 +333,10 @@ class ReplicatedShard(Shard):
 
     def put_many(self, pairs: Sequence[Pair]) -> None:
         """Upsert a batch on every live replica (per-replica group commit)."""
-        batch = list(pairs)
-        if not batch:
+        if not pairs:
             return
         self._fanout_write(
-            "put_many", len(batch), lambda replica: replica.shard.put_many(batch)
+            "put_many", len(pairs), lambda replica: replica.shard.put_many(pairs)
         )
 
     def delete(self, key: Key) -> bool:
@@ -269,32 +351,40 @@ class ReplicatedShard(Shard):
     ) -> List[T]:
         """Apply one write to every live replica, fencing failures.
 
-        Runs under this shard's operation lock so every replica WAL
+        Runs under this set's operation lock so every replica WAL
         records the same append order.  A replica whose apply raises
-        (poisoned WAL, injected fault) is marked down and skipped; the
-        write acknowledges as long as at least one replica durably
-        accepted it, and only a fully-down set raises.
+        (poisoned WAL, injected fault) is marked down and skipped while
+        another copy is live, and the write acknowledges as long as one
+        replica durably accepted it.  The last live replica's error
+        propagates unchanged and leaves it up — the single-copy
+        contract — and only a fully-down set raises
+        :class:`ReplicaSetUnavailableError`.
         """
-        with span_if_traced(
-            _REPLICA_OP_SPAN, op=op, shard_id=self.shard_id, records=records
-        ):
-            with self._guard():
-                self._note_ops(records)
-                results: List[T] = []
-                for replica in self.replicas:
-                    if replica.down:
-                        replica.behind += records
-                        continue
-                    try:
-                        results.append(apply(replica))
-                    except Exception as error:
-                        self.mark_down(replica, f"{op} failed: {error!r}")
-                        replica.behind += records
-                if not results:
-                    raise ReplicaSetUnavailableError(
-                        f"no replica of shard {self.shard_id} accepted the {op}"
-                    )
-                return results
+        # The set-level span only exists while there is a fan-out to
+        # attribute; with one live copy its spans sit under the caller's.
+        span: ContextManager[None] = nullcontext()
+        if len(self._alive()) > 1:
+            span = span_if_traced(
+                _REPLICA_OP_SPAN, op=op, shard_id=self.shard_id, records=records
+            )
+        with span, self._guard():
+            results: List[T] = []
+            for replica in self.replicas:
+                if replica.down:
+                    replica.behind += records
+                    continue
+                try:
+                    results.append(apply(replica))
+                except Exception as error:
+                    if len(self._alive()) == 1:
+                        raise
+                    self.mark_down(replica, f"{op} failed: {error!r}")
+                    replica.behind += records
+            if not results:
+                raise ReplicaSetUnavailableError(
+                    f"no replica of shard {self.shard_id} accepted the {op}"
+                )
+            return results
 
     # ------------------------------------------------------------------
     # Snapshots and introspection
@@ -370,9 +460,8 @@ class ReplicatedShard(Shard):
 
     def close_logs(self) -> None:
         """Release every replica's log handle (idempotent)."""
-        for replica in self.replicas:
-            if replica.shard.durable_log is not None:
-                replica.shard.durable_log.close()
+        for log in self.logs():
+            log.close()
 
     def stats(self) -> Dict[str, Any]:
         """One JSON-safe summary: the aggregate plus one row per replica."""
@@ -392,6 +481,8 @@ class ReplicatedShard(Shard):
                         for kind, cost in replica.cost_ewma.items()
                     },
                     "family": inner["family"],
+                    "thread_safe": inner["thread_safe"],
+                    "durable": inner["durable"],
                     "num_keys": inner["num_keys"],
                     "size_bytes": inner["size_bytes"],
                     "ops": inner["ops"],
@@ -404,16 +495,12 @@ class ReplicatedShard(Shard):
         return {
             "shard_id": self.shard_id,
             "family": replica_rows[0]["family"],
-            "thread_safe": False,
             "replication_factor": len(self.replicas),
             "replicas_up": len(self._alive()),
-            "durable": (
-                self.durable_log.stats() if self.durable_log is not None else None
-            ),
             "wal_lag": self.wal_lag(),
             "num_keys": self.num_keys,
             "size_bytes": self.size_bytes(),
-            "ops": self.ops,
+            "ops": sum(row["ops"] for row in replica_rows),
             "encoding_census": self.encoding_census(),
             "adaptation_phases": sum(
                 row["adaptation_phases"] for row in replica_rows
@@ -449,30 +536,43 @@ class ReplicatedShard(Shard):
                 )
 
 
+def make_replica(
+    replica_id: int,
+    recipe: Any,
+    shard_id: int,
+    pairs: Sequence[Pair],
+    log: Optional["DurableLog"] = None,
+) -> Replica:
+    """One copy bulk-loaded from ``pairs`` under ``recipe``."""
+    inner = Shard(
+        shard_id,
+        recipe.build_index(pairs),
+        thread_safe=recipe.thread_safe,
+        durable_log=log,
+    )
+    return Replica(replica_id, recipe, inner)
+
+
 def build_replicated_shard(
     shard_id: int,
     pairs: Sequence[Pair],
-    profiles: Sequence[ReplicaProfile],
+    recipes: Sequence[Any],
     durability: Optional[Any] = None,
     epoch: int = 0,
     router: Optional[ReplicaRouter] = None,
 ) -> ReplicatedShard:
-    """Bulk-load one replicated shard: one index (and log) per profile."""
-    from repro.durability.manager import DurabilityManager
+    """Bulk-load one replica set: one index (and log) per recipe.
 
+    With ``durability``, each replica gets a fresh log named for
+    ``epoch``, position ``shard_id`` and its replica number.
+    """
     group = list(pairs)
-    replicas: List[Replica] = []
-    for position, profile in enumerate(profiles):
+    replicas = []
+    for replica_id, recipe in enumerate(recipes):
         log = None
         if durability is not None:
             log = durability.create_log(
-                DurabilityManager.replica_log_id(epoch, shard_id, position), group
+                durability.log_id(epoch, shard_id, replica_id), group
             )
-        inner = Shard(
-            shard_id,
-            profile.build_index(group),
-            thread_safe=False,
-            durable_log=log,
-        )
-        replicas.append(Replica(position, profile, inner))
+        replicas.append(make_replica(replica_id, recipe, shard_id, group, log))
     return ReplicatedShard(shard_id, replicas, router=router)

@@ -12,14 +12,18 @@ Components:
 
 * :mod:`repro.service.partition` — hash and range key-space
   partitioners (range partitions support online split/merge);
-* :mod:`repro.service.shard` — one partition: an index instance plus
-  its access discipline (per-shard lock for non-thread-safe families,
-  lock-free reads for the OLC B+-tree);
+* :mod:`repro.service.shard` — one store inside a replica set: an
+  index instance plus its access discipline (an operation lock for
+  non-thread-safe families, lock-free reads for the OLC B+-tree);
 * :mod:`repro.service.router` — the batched front end
-  (``get_many`` / ``put_many`` / ``scan``) executing per-shard
-  sub-batches on a thread pool, merging ordered scans across shards,
-  and performing online shard split/merge with the PR-1
+  (``get_many`` / ``put_many`` / ``scan``) running per-shard
+  sub-batches on the calling thread, merging ordered scans across
+  shards, and performing online shard split/merge with the PR-1
   build-aside+swap discipline (fault-injectable, zero lost keys).
+
+Every router shard is a
+:class:`~repro.replication.replica_set.ReplicatedShard` of N >= 1
+replicas; a plain shard is the N = 1 case.
 """
 
 from repro.service.partition import (

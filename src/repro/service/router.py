@@ -1,7 +1,7 @@
 """The sharded index service front end.
 
-A :class:`ShardRouter` owns N :class:`~repro.service.shard.Shard`\\ s and
-a :class:`~repro.service.partition.Partitioner`, and exposes the familiar
+A :class:`ShardRouter` owns N shards and a
+:class:`~repro.service.partition.Partitioner`, and exposes the familiar
 index surface in batched form: ``get_many`` / ``put_many`` split each
 request into per-shard sub-batches and run them one after another on
 the calling thread, ``scan`` merges ordered results across shards
@@ -10,10 +10,15 @@ partitioning).  A served request already runs on the coalescer's
 executor thread; a second pool here would buy no parallel shard work
 under the GIL, only a thread hop per batch.
 
+Every shard is a :class:`~repro.replication.replica_set.ReplicatedShard`
+of N >= 1 replicas, each built from a named recipe (an index family for
+a plain store, or a divergence profile), so build, recovery, the
+manifest and split/merge each have exactly one path.
+
 Online **shard split/merge** reuses the PR-1 build-aside+swap
-discipline: the affected shards are write-frozen (reads keep flowing on
-OLC shards), their contents are snapshotted and rebuilt into
-replacement shards *aside*, and one atomic routing-table swap publishes
+discipline: the affected shards are write-frozen (reads keep flowing),
+their contents are snapshotted and every replica is rebuilt under its
+own recipe *aside*, and one atomic routing-table swap publishes
 the new layout.  Every step crosses a :func:`~repro.faults.injector
 .fault_point` (``service.split.*`` / ``service.merge.*``), and a fault
 anywhere before the swap leaves the old table serving — zero lost keys
@@ -25,20 +30,21 @@ while they waited, and writing into the now-orphaned shard would lose
 the pair, so re-routed pairs are retried against the fresh table.
 
 One global :class:`~repro.core.budget.BudgetArbiter` divides the
-service-wide memory budget across the per-shard adaptation managers and
-is rebalanced after every split/merge.
+service-wide memory budget across the family-built replicas' adaptation
+managers (each set names them; profile budgets are divergence policy)
+and is rebalanced after every split/merge.
 
 With a :class:`~repro.durability.manager.DurabilityManager` attached,
-the router is **crash-durable**: every shard carries a per-shard WAL
+the router is **crash-durable**: every replica carries its own WAL
 (appended before acknowledgment — see
 :mod:`repro.service.shard`), :meth:`checkpoint` publishes snapshots
 and truncates logs, and :meth:`recover` rebuilds the whole service
-from disk.  Split/merge then *re-keys* durability too: replacement
-shards get fresh logs under the next routing epoch, the CRC-wrapped
-manifest is republished as the durable commit point **before** the
-in-memory table swap, and an abort at the swap fault point rolls the
-manifest back while the write gates are still held — so the durable
-and in-memory routing epochs can never diverge across an
+from disk.  Split/merge then *re-keys* durability too: every replica
+of a replacement shard gets a fresh log under the next routing epoch,
+the CRC-wrapped manifest is republished as the durable commit point
+**before** the in-memory table swap, and an abort at the swap fault
+point rolls the manifest back while the write gates are still held — so
+the durable and in-memory routing epochs can never diverge across an
 acknowledgment.
 """
 
@@ -49,10 +55,9 @@ import itertools
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.budget import BudgetArbiter, MemoryBudget
-from repro.durability.log import DurableLog
 from repro.durability.manager import (
     DurabilityManager,
     Manifest,
@@ -61,6 +66,17 @@ from repro.durability.manager import (
 )
 from repro.faults.injector import fault_point
 from repro.obs.runtime import active_registry
+from repro.replication.profiles import (
+    FAMILY_RECIPES,
+    resolve_profiles,
+    resolve_recipes,
+)
+from repro.replication.replica_set import (
+    ReplicatedShard,
+    build_replicated_shard,
+    make_replica,
+)
+from repro.replication.routing import ReplicaRouter
 from repro.service.partition import (
     HashPartitioner,
     Key,
@@ -68,9 +84,7 @@ from repro.service.partition import (
     PartitionError,
     RangePartitioner,
 )
-from repro.service.shard import Pair, Shard, span_if_traced
-
-IndexFactory = Callable[[List[Pair]], Any]
+from repro.service.shard import Pair, span_if_traced
 
 #: RA004: span-name literal for the fan-out layer.
 _ROUTE_SPAN = "service.route"
@@ -79,41 +93,6 @@ _ROUTE_SPAN = "service.route"
 class ReadOnlyShardError(RuntimeError):
     """A write was routed to a shard whose family has no insert path."""
 
-
-def _olc_factory(pairs: List[Pair]) -> Any:
-    from repro.bptree.olc import OlcBPlusTree
-
-    return OlcBPlusTree.bulk_load(pairs)
-
-
-def _adaptive_factory(pairs: List[Pair]) -> Any:
-    from repro.bptree.hybrid import AdaptiveBPlusTree
-
-    return AdaptiveBPlusTree.bulk_load_adaptive(pairs)
-
-
-def _dualstage_factory(pairs: List[Pair]) -> Any:
-    from repro.dualstage.index import DualStageIndex
-
-    return DualStageIndex.bulk_load(pairs)
-
-
-def _hybridtrie_factory(pairs: List[Pair]) -> Any:
-    from repro.hybridtrie.tree import HybridTrie
-
-    return HybridTrie(pairs)
-
-
-#: Family name -> bulk-load factory, as used by the harness and benches.
-FAMILY_FACTORIES: Dict[str, IndexFactory] = {
-    "olc": _olc_factory,
-    "adaptive": _adaptive_factory,
-    "dualstage": _dualstage_factory,
-    "hybridtrie": _hybridtrie_factory,
-}
-
-#: Families whose indexes synchronize themselves (no per-shard op lock).
-THREAD_SAFE_FAMILIES = frozenset({"olc"})
 
 #: Precomputed ``service.ops.<kind>`` counter names (RA004: telemetry
 #: names are literal tables, never formatted on the hot path).
@@ -129,7 +108,7 @@ class _RoutingTable:
     """An immutable (partitioner, shards) snapshot, swapped atomically."""
 
     partitioner: Partitioner
-    shards: Tuple[Shard, ...]
+    shards: Tuple[ReplicatedShard, ...]
 
 
 class ShardRouter:
@@ -137,9 +116,8 @@ class ShardRouter:
 
     def __init__(
         self,
-        shards: Sequence[Shard],
+        shards: Sequence[ReplicatedShard],
         partitioner: Partitioner,
-        index_factory: IndexFactory,
         budget: Optional[MemoryBudget] = None,
         durability: Optional[DurabilityManager] = None,
         epoch: int = 0,
@@ -151,12 +129,11 @@ class ShardRouter:
             )
         if durability is not None:
             for shard in shards:
-                if shard.durable_log is None:
+                if len(shard.logs()) != len(shard.replicas):
                     raise ValueError(
-                        "a durable router requires every shard to carry a DurableLog"
+                        "a durable router requires every replica to carry a DurableLog"
                     )
         self._table = _RoutingTable(partitioner, tuple(shards))
-        self._index_factory = index_factory
         self._admin_lock = threading.Lock()
         self.splits = 0
         self.merges = 0
@@ -181,7 +158,6 @@ class ShardRouter:
         num_shards: int = 4,
         partitioning: str = "hash",
         budget: Optional[MemoryBudget] = None,
-        index_factory: Optional[IndexFactory] = None,
         durability: Optional[DurabilityManager] = None,
         replication_factor: int = 1,
         replica_profiles: Optional[Sequence[str]] = None,
@@ -189,31 +165,36 @@ class ShardRouter:
     ) -> "ShardRouter":
         """Bulk-load a router from sorted unique pairs.
 
-        ``family`` picks a factory from :data:`FAMILY_FACTORIES` unless
-        an explicit ``index_factory`` is given; ``partitioning`` is
-        ``"hash"`` or ``"range"`` (range boundaries are chosen
-        equi-depth from the loaded keys).  With ``durability``, every
-        shard gets a fresh epoch-0 log (base snapshot of its loaded
-        pairs) and the routing manifest is published before the router
-        is handed out — a crash mid-bootstrap leaves either no manifest
-        (re-bootstrap from the same pairs) or a complete one.
-
-        With ``replication_factor > 1`` (or explicit
-        ``replica_profiles``) every shard becomes a
-        :class:`~repro.replication.replica_set.ReplicatedShard`: N
-        copies built under divergent adaptation profiles, reads routed
-        by modeled cost (``replica_routing="cost"``, or
-        ``"round_robin"`` for the identical-replica baseline), writes
-        fanned out to per-replica WALs.  Replication requires the
-        ``"adaptive"`` family — the profiles exist to tune its manager.
+        Every shard is a replica set.  By default it holds one replica
+        built from ``family``'s recipe; with ``replication_factor > 1``
+        (or explicit ``replica_profiles``) it holds N copies built under
+        divergent adaptation profiles, reads routed by modeled cost
+        (``replica_routing="cost"``, or ``"round_robin"`` for the
+        identical-replica baseline).  Profiles require the
+        ``"adaptive"`` family — they exist to tune its manager.
+        ``partitioning`` is ``"hash"`` or ``"range"`` (range boundaries
+        are chosen equi-depth from the loaded keys).  With
+        ``durability``, every replica gets a fresh epoch-0 log (base
+        snapshot of its loaded pairs) and the routing manifest is
+        published before the router is handed out — a crash
+        mid-bootstrap leaves either no manifest (re-bootstrap from the
+        same pairs) or a complete one.
         """
-        if index_factory is None:
-            if family not in FAMILY_FACTORIES:
+        if family not in FAMILY_RECIPES:
+            raise ValueError(
+                f"unknown family {family!r}; expected one of {sorted(FAMILY_RECIPES)}"
+            )
+        recipes: List[Any] = [FAMILY_RECIPES[family]]
+        if replication_factor > 1 or replica_profiles is not None:
+            if family != "adaptive":
                 raise ValueError(
-                    f"unknown family {family!r}; expected one of "
-                    f"{sorted(FAMILY_FACTORIES)}"
+                    "replication requires the 'adaptive' family — divergence "
+                    f"profiles tune its adaptation manager (got {family!r})"
                 )
-            index_factory = FAMILY_FACTORIES[family]
+            factor = replication_factor
+            if factor == 1 and replica_profiles is not None:
+                factor = len(replica_profiles)
+            recipes = list(resolve_profiles(factor, replica_profiles))
         pairs = list(pairs)
         keys = [key for key, _ in pairs]
         partitioner: Partitioner
@@ -228,241 +209,77 @@ class ShardRouter:
         groups: List[List[Pair]] = [[] for _ in range(num_shards)]
         for pair in pairs:
             groups[partitioner.shard_of(pair[0])].append(pair)
-        factor = replication_factor
-        if factor == 1 and replica_profiles is not None:
-            factor = len(replica_profiles)
-        if factor > 1 or replica_profiles is not None:
-            if family != "adaptive":
-                raise ValueError(
-                    "replication requires the 'adaptive' family — divergence "
-                    f"profiles tune its adaptation manager (got {family!r})"
-                )
-            from repro.replication.profiles import resolve_profiles
-            from repro.replication.replica_set import build_replicated_shard
-            from repro.replication.routing import ReplicaRouter
-
-            profiles = resolve_profiles(factor, replica_profiles)
-            shards: List[Shard] = [
-                build_replicated_shard(
-                    shard_id,
-                    group,
-                    profiles,
-                    durability=durability,
-                    epoch=0,
-                    router=ReplicaRouter(policy=replica_routing),
-                )
-                for shard_id, group in enumerate(groups)
-            ]
-            if durability is not None:
-                durability.publish_manifest(
-                    Manifest(
-                        epoch=0,
-                        partitioner=partitioner_spec(partitioner),
-                        shards=[
-                            DurabilityManager.replica_log_id(0, i, 0)
-                            for i in range(num_shards)
-                        ],
-                        replicas={
-                            "factor": factor,
-                            "profiles": [profile.name for profile in profiles],
-                            "logs": [
-                                [
-                                    DurabilityManager.replica_log_id(0, i, r)
-                                    for r in range(factor)
-                                ]
-                                for i in range(num_shards)
-                            ],
-                        },
-                    )
-                )
-            return cls(
-                shards,
-                partitioner,
-                index_factory,
-                budget=budget,
+        shards = [
+            build_replicated_shard(
+                shard_id,
+                group,
+                recipes,
                 durability=durability,
-                epoch=0,
+                router=ReplicaRouter(policy=replica_routing),
             )
-        thread_safe = family in THREAD_SAFE_FAMILIES
-        shards = []
-        for shard_id, group in enumerate(groups):
-            log: Optional[DurableLog] = None
-            if durability is not None:
-                log = durability.create_log(
-                    DurabilityManager.log_id(0, shard_id), group
-                )
-            shards.append(
-                Shard(
-                    shard_id,
-                    index_factory(group),
-                    thread_safe=thread_safe,
-                    durable_log=log,
-                )
-            )
+            for shard_id, group in enumerate(groups)
+        ]
         if durability is not None:
-            durability.publish_manifest(
-                Manifest(
-                    epoch=0,
-                    partitioner=partitioner_spec(partitioner),
-                    shards=[DurabilityManager.log_id(0, i) for i in range(num_shards)],
-                )
-            )
-        return cls(
-            shards,
-            partitioner,
-            index_factory,
-            budget=budget,
-            durability=durability,
-            epoch=0,
-        )
+            durability.publish_manifest(cls._manifest(0, partitioner, shards))
+        return cls(shards, partitioner, budget=budget, durability=durability)
 
     @classmethod
     def recover(
         cls,
         durability: DurabilityManager,
-        family: str = "olc",
         budget: Optional[MemoryBudget] = None,
-        index_factory: Optional[IndexFactory] = None,
     ) -> "ShardRouter":
         """Rebuild a durable router from its on-disk state after a crash.
 
         Reads the routing manifest (the durable commit point), sweeps
-        files no epoch reaches, recovers every named log — newest valid
-        snapshot plus WAL-tail replay, torn final record tolerated —
-        and bulk-loads each shard's family from the recovered pair set.
-        ``last_recovery`` on the returned router summarizes what was
-        replayed, skipped, and swept.
+        files no epoch reaches, and recovers every replica's log —
+        newest valid snapshot plus WAL-tail replay, torn final record
+        tolerated.  Each replica is bulk-loaded under the recipe the
+        manifest names for it.  Per shard, the replica with the highest
+        WAL LSN is authoritative — fan-out appends in replica order, so
+        a higher LSN implies a superset of acked writes — and any
+        straggler (a replica that was down or fenced when the crash
+        hit) is rebuilt from the authoritative content and healed with
+        a fresh snapshot.  ``last_recovery`` on the returned router
+        summarizes what was replayed, rebuilt, skipped, and swept.
         """
-        if index_factory is None:
-            if family not in FAMILY_FACTORIES:
-                raise ValueError(
-                    f"unknown family {family!r}; expected one of "
-                    f"{sorted(FAMILY_FACTORIES)}"
-                )
-            index_factory = FAMILY_FACTORIES[family]
         manifest = durability.read_manifest()
-        orphans_removed = durability.cleanup_orphans(manifest)
+        recipes = resolve_recipes(manifest.recipes)
         partitioner = build_partitioner(manifest.partitioner)
-        if manifest.replicas is not None:
-            return cls._recover_replicated(
-                durability,
-                manifest,
-                partitioner,
-                orphans_removed,
-                budget=budget,
-            )
-        thread_safe = family in THREAD_SAFE_FAMILIES
-        shards = []
-        frames_replayed = 0
-        snapshots_skipped = 0
-        torn_bytes = 0
-        for position, log_id in enumerate(manifest.shards):
-            log, result = durability.recover_log(log_id)
-            pairs = sorted(result.state.items())
-            shards.append(
-                Shard(
-                    position,
-                    index_factory(pairs),
-                    thread_safe=thread_safe,
-                    durable_log=log,
-                )
-            )
-            frames_replayed += result.frames_replayed
-            snapshots_skipped += result.snapshots_skipped
-            torn_bytes += result.torn_bytes
-        router = cls(
-            shards,
-            partitioner,
-            index_factory,
-            budget=budget,
-            durability=durability,
-            epoch=manifest.epoch,
-        )
-        router.last_recovery = {
-            "epoch": manifest.epoch,
-            "num_shards": len(shards),
-            "frames_replayed": frames_replayed,
-            "snapshots_skipped": snapshots_skipped,
-            "torn_bytes": torn_bytes,
-            "orphans_removed": orphans_removed,
+        orphans_removed = durability.cleanup_orphans(manifest)
+        summary = {
+            "frames_replayed": 0,
+            "snapshots_skipped": 0,
+            "torn_bytes": 0,
+            "replicas_rebuilt": 0,
         }
-        return router
-
-    @classmethod
-    def _recover_replicated(
-        cls,
-        durability: DurabilityManager,
-        manifest: Manifest,
-        partitioner: Partitioner,
-        orphans_removed: int,
-        budget: Optional[MemoryBudget] = None,
-    ) -> "ShardRouter":
-        """Rebuild a replicated router: every replica from its own log.
-
-        Each replica recovers from its *own* newest snapshot plus WAL
-        tail, then bulk-loads under its *own* divergence profile (the
-        profile names come from the manifest).  Per shard, the replica
-        with the highest WAL LSN is authoritative — fan-out appends in
-        replica order, so a higher LSN implies a superset of acked
-        writes — and any straggler (a replica that was down or fenced
-        when the crash hit) is rebuilt from the authoritative content
-        and healed with a fresh snapshot.
-        """
-        from repro.replication.profiles import REPLICA_PROFILES
-        from repro.replication.replica_set import Replica, ReplicatedShard
-        from repro.replication.routing import ReplicaRouter
-
-        block = manifest.replicas
-        assert block is not None  # caller checked
-        unknown = [
-            name for name in block["profiles"] if name not in REPLICA_PROFILES
-        ]
-        if unknown:
-            raise ValueError(
-                f"manifest names unknown replica profiles {unknown}; "
-                f"expected names from {sorted(REPLICA_PROFILES)}"
-            )
-        profiles = [REPLICA_PROFILES[name] for name in block["profiles"]]
-        shards: List[Shard] = []
-        frames_replayed = 0
-        snapshots_skipped = 0
-        torn_bytes = 0
-        replicas_rebuilt = 0
-        for position, log_ids in enumerate(block["logs"]):
+        shards: List[ReplicatedShard] = []
+        for position, log_ids in enumerate(manifest.shards):
             recovered = [durability.recover_log(log_id) for log_id in log_ids]
-            for _, result in recovered:
-                frames_replayed += result.frames_replayed
-                snapshots_skipped += result.snapshots_skipped
-                torn_bytes += result.torn_bytes
-            last_lsns = [log.last_lsn for log, _ in recovered]
-            authoritative = max(last_lsns)
-            auth_index = last_lsns.index(authoritative)
-            auth_pairs = sorted(recovered[auth_index][1].state.items())
-            replicas = []
-            for offset, (log, result) in enumerate(recovered):
-                if last_lsns[offset] < authoritative:
-                    # Straggler: its own log is consistent but behind
-                    # the acked history; rebuild from the authoritative
-                    # copy and checkpoint so its log is whole again.
-                    pairs = auth_pairs
-                    log.checkpoint(pairs)
-                    replicas_rebuilt += 1
-                else:
-                    pairs = sorted(result.state.items())
-                inner = Shard(
-                    position,
-                    profiles[offset].build_index(pairs),
-                    thread_safe=False,
-                    durable_log=log,
-                )
-                replicas.append(Replica(offset, profiles[offset], inner))
-            shards.append(
-                ReplicatedShard(position, replicas, router=ReplicaRouter())
+            newest = max(log.last_lsn for log, _ in recovered)
+            authoritative = next(
+                result.state for log, result in recovered if log.last_lsn == newest
             )
+            replicas = []
+            for replica_id, (log, result) in enumerate(recovered):
+                summary["frames_replayed"] += result.frames_replayed
+                summary["snapshots_skipped"] += result.snapshots_skipped
+                summary["torn_bytes"] += result.torn_bytes
+                straggler = log.last_lsn < newest
+                pairs = sorted((authoritative if straggler else result.state).items())
+                if straggler:
+                    # Its own log is consistent but behind the acked
+                    # history: rebuild from the authoritative copy and
+                    # checkpoint so its log is whole again.
+                    log.checkpoint(pairs)
+                    summary["replicas_rebuilt"] += 1
+                replicas.append(
+                    make_replica(replica_id, recipes[replica_id], position, pairs, log)
+                )
+            shards.append(ReplicatedShard(position, replicas))
         router = cls(
             shards,
             partitioner,
-            FAMILY_FACTORIES["adaptive"],
             budget=budget,
             durability=durability,
             epoch=manifest.epoch,
@@ -470,12 +287,9 @@ class ShardRouter:
         router.last_recovery = {
             "epoch": manifest.epoch,
             "num_shards": len(shards),
-            "frames_replayed": frames_replayed,
-            "snapshots_skipped": snapshots_skipped,
-            "torn_bytes": torn_bytes,
+            "replication_factor": len(recipes),
             "orphans_removed": orphans_removed,
-            "replication_factor": int(block["factor"]),
-            "replicas_rebuilt": replicas_rebuilt,
+            **summary,
         }
         return router
 
@@ -506,7 +320,7 @@ class ShardRouter:
         """Number of shards currently serving."""
         return len(self._table.shards)
 
-    def shard_for(self, key: Key) -> Shard:
+    def shard_for(self, key: Key) -> ReplicatedShard:
         """The shard currently serving ``key``."""
         table = self._table
         return table.shards[table.partitioner.shard_of(key)]
@@ -615,7 +429,7 @@ class ShardRouter:
                 )
         self._count_ops("write", len(pairs))
 
-    def _write_group(self, shard: Shard, group: List[Pair]) -> None:
+    def _write_group(self, shard: ReplicatedShard, group: List[Pair]) -> None:
         """Write ``group`` through ``shard``'s write gate, revalidating
         the route once the gate is held.
 
@@ -628,7 +442,7 @@ class ShardRouter:
         re-read: pairs it still routes to ``shard`` land here, and the
         rest are regrouped against the fresh table and retried.
         """
-        worklist: List[Tuple[Shard, List[Pair]]] = [(shard, group)]
+        worklist: List[Tuple[ReplicatedShard, List[Pair]]] = [(shard, group)]
         while worklist:
             shard, group = worklist.pop()
             self._check_writable(shard)
@@ -674,11 +488,11 @@ class ShardRouter:
         return removed
 
     @staticmethod
-    def _check_writable(shard: Shard) -> None:
+    def _check_writable(shard: ReplicatedShard) -> None:
         if not shard.supports_writes:
             raise ReadOnlyShardError(
-                f"shard wraps a read-only family "
-                f"({type(shard.index).__name__})"
+                "shard wraps a read-only family "
+                f"({', '.join(recipe.name for recipe in shard.recipes)})"
             )
 
     # ------------------------------------------------------------------
@@ -688,20 +502,16 @@ class ShardRouter:
         """Split one range shard in two at ``at_key`` (default: median).
 
         Writes to the shard are frozen for the duration; reads keep
-        flowing (OLC shards lock-free, locked families briefly
-        serialized).  A failure at any ``service.split.*`` fault point
-        aborts with the old routing table still serving — no key is
-        ever lost.  Returns the split key actually used.
+        flowing.  Each replica is rebuilt aside under its own recipe,
+        with a next-epoch log per replica.  A failure at any
+        ``service.split.*`` fault point aborts with the old routing
+        table still serving — no key is ever lost.  Returns the split
+        key actually used.
         """
         with self._admin_lock:
             table = self._table
             self._check_shard_id(table, shard_id)
             shard = table.shards[shard_id]
-            if shard.is_replicated:
-                raise PartitionError(
-                    "online split is not supported on replicated shards; "
-                    "re-provision through build()/recover() instead"
-                )
             with shard.write_gate, shard._guard():
                 fault_point("service.split.collect")
                 pairs = shard.items()
@@ -711,24 +521,11 @@ class ShardRouter:
                 new_partitioner = table.partitioner.split(shard_id, split_key)
                 fault_point("service.split.build")
                 cut = bisect_left(pairs, (split_key,))
-                new_logs = self._build_logs(shard_id, [pairs[:cut], pairs[cut:]])
-                left = Shard(
-                    shard_id,
-                    self._index_factory(pairs[:cut]),
-                    thread_safe=shard.thread_safe,
-                    durable_log=new_logs[0] if new_logs else None,
+                built = (
+                    self._rebuild(shard, shard_id, pairs[:cut]),
+                    self._rebuild(shard, shard_id + 1, pairs[cut:]),
                 )
-                right = Shard(
-                    shard_id + 1,
-                    self._index_factory(pairs[cut:]),
-                    thread_safe=shard.thread_safe,
-                    durable_log=new_logs[1] if new_logs else None,
-                )
-                shards = (
-                    table.shards[:shard_id]
-                    + (left, right)
-                    + table.shards[shard_id + 1 :]
-                )
+                shards = table.shards[:shard_id] + built + table.shards[shard_id + 1 :]
                 # Durable commit point: the new manifest (new epoch, new
                 # log ids) is published before the in-memory swap, while
                 # the gate still blocks every acknowledgment.  A real
@@ -737,18 +534,14 @@ class ShardRouter:
                 # the manifest back before any writer can proceed.  If
                 # the publish itself fails the old manifest still rules,
                 # so only the freshly built logs need destroying.
-                try:
-                    undo = self._publish_epoch(table, new_partitioner, shards)
-                except BaseException:
-                    self._delete_logs(new_logs)
-                    raise
+                undo = self._publish_epoch(table, new_partitioner, shards, built)
                 try:
                     fault_point("service.split.swap")
                     self._install(new_partitioner, shards)
                 except BaseException:
-                    self._unpublish_epoch(undo, new_logs)
+                    self._unpublish_epoch(undo, built)
                     raise
-                self._retire_logs([shard])
+                self._delete_logs([shard], seal=True)
             self.splits += 1
             self._publish_admin_metrics("service.splits")
             return split_key
@@ -757,9 +550,9 @@ class ShardRouter:
         """Merge range shards ``left_id`` and ``left_id + 1`` into one.
 
         Same discipline as :meth:`split_shard`: both shards are
-        write-frozen, the merged replacement is built aside, and one
-        table swap publishes it; a fault before the swap changes
-        nothing.
+        write-frozen, the merged replacement is built aside replica by
+        replica, and one table swap publishes it; a fault before the
+        swap changes nothing.
         """
         with self._admin_lock:
             table = self._table
@@ -767,11 +560,6 @@ class ShardRouter:
             # Validates adjacency and raises on hash partitions.
             new_partitioner = table.partitioner.merge(left_id)
             left, right = table.shards[left_id], table.shards[left_id + 1]
-            if left.is_replicated or right.is_replicated:
-                raise PartitionError(
-                    "online merge is not supported on replicated shards; "
-                    "re-provision through build()/recover() instead"
-                )
             # Gates before op locks on both shards: write_gate ranks above
             # op_lock in the lock hierarchy, and writers acquire gate then
             # op lock per shard, so interleaving gate/op across shards here
@@ -780,47 +568,51 @@ class ShardRouter:
                 fault_point("service.merge.collect")
                 pairs = left.items() + right.items()
                 fault_point("service.merge.build")
-                new_logs = self._build_logs(left_id, [pairs])
-                merged = Shard(
-                    left_id,
-                    self._index_factory(pairs),
-                    thread_safe=left.thread_safe,
-                    durable_log=new_logs[0] if new_logs else None,
-                )
-                shards = (
-                    table.shards[:left_id]
-                    + (merged,)
-                    + table.shards[left_id + 2 :]
-                )
+                built = (self._rebuild(left, left_id, pairs),)
+                shards = table.shards[:left_id] + built + table.shards[left_id + 2 :]
                 # Same durable commit protocol as split_shard: manifest
                 # first (gates held), swap second, manifest rollback on
-                # an in-process abort at the swap point, new-log cleanup
-                # when the publish itself fails.
-                try:
-                    undo = self._publish_epoch(table, new_partitioner, shards)
-                except BaseException:
-                    self._delete_logs(new_logs)
-                    raise
+                # an in-process abort at the swap point.
+                undo = self._publish_epoch(table, new_partitioner, shards, built)
                 try:
                     fault_point("service.merge.swap")
                     self._install(new_partitioner, shards)
                 except BaseException:
-                    self._unpublish_epoch(undo, new_logs)
+                    self._unpublish_epoch(undo, built)
                     raise
-                self._retire_logs([left, right])
+                self._delete_logs([left, right], seal=True)
             self.merges += 1
             self._publish_admin_metrics("service.merges")
+
+    def _rebuild(
+        self, shard: ReplicatedShard, position: int, pairs: List[Pair]
+    ) -> ReplicatedShard:
+        """A replacement for ``shard`` at ``position`` holding ``pairs``.
+
+        Every replica is bulk-loaded under ``shard``'s recipe for it,
+        and on a durable router gets a fresh log under the next epoch,
+        born with a base snapshot of its pairs so the new epoch is
+        self-contained the instant its manifest publishes.
+        """
+        return build_replicated_shard(
+            position,
+            pairs,
+            shard.recipes,
+            durability=self._durability,
+            epoch=self._epoch + 1,
+            router=ReplicaRouter(policy=shard.router.policy),
+        )
 
     # ------------------------------------------------------------------
     # Durability admin (checkpointing + epoch re-keying)
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict[str, Any]:
-        """Snapshot every durable shard and truncate its WAL.
+        """Snapshot every replica log and truncate its WAL.
 
         Runs under ``_admin_lock`` (serialized with split/merge); each
         shard is frozen just long enough to collect its pairs at a
         known LSN — shards are checkpointed one at a time, so writers
-        on other shards keep flowing.  Returns a per-shard summary.
+        on other shards keep flowing.  Returns a per-log summary.
         """
         if self._durability is None:
             raise RuntimeError("checkpoint() requires a durable router")
@@ -828,8 +620,6 @@ class ShardRouter:
         with self._admin_lock:
             table = self._table
             for position, shard in enumerate(table.shards):
-                if shard.durable_log is None:
-                    continue
                 with shard.write_gate:
                     entries = shard.checkpoint_logs()
                 for entry in entries:
@@ -838,66 +628,47 @@ class ShardRouter:
             self._publish_admin_metrics("service.checkpoints")
         return {"epoch": self._epoch, "shards": summaries}
 
-    def _build_logs(
-        self, position: int, groups: Sequence[List[Pair]]
-    ) -> Optional[List[DurableLog]]:
-        """Fresh next-epoch logs for replacement shards at ``position``.
-
-        Each log is born with a base snapshot of its group, so the new
-        epoch is self-contained the instant its manifest publishes.
-        Returns None on a non-durable router.
-        """
-        if self._durability is None:
-            return None
-        epoch = self._epoch + 1
-        return [
-            self._durability.create_log(
-                DurabilityManager.log_id(epoch, position + offset), group
-            )
-            for offset, group in enumerate(groups)
-        ]
-
     @staticmethod
-    def _log_ids(shards: Sequence[Shard]) -> List[str]:
-        ids: List[str] = []
-        for shard in shards:
-            log = shard.durable_log
-            if log is None:
-                raise ValueError("durable router has a shard without a log")
-            ids.append(log.log_id)
-        return ids
+    def _manifest(
+        epoch: int, partitioner: Partitioner, shards: Sequence[ReplicatedShard]
+    ) -> Manifest:
+        return Manifest(
+            epoch=epoch,
+            partitioner=partitioner_spec(partitioner),
+            recipes=[recipe.name for recipe in shards[0].recipes],
+            shards=[[log.log_id for log in shard.logs()] for shard in shards],
+        )
 
     def _publish_epoch(
         self,
         table: _RoutingTable,
         new_partitioner: Partitioner,
-        new_shards: Sequence[Shard],
+        new_shards: Sequence[ReplicatedShard],
+        built: Sequence[ReplicatedShard],
     ) -> Optional[Manifest]:
         """Durably commit the next routing epoch; returns the undo manifest.
 
         Callers hold the affected write gates, so no acknowledgment can
         land between this publish and either the in-memory swap or the
-        rollback in :meth:`_unpublish_epoch`.
+        rollback in :meth:`_unpublish_epoch`.  When the publish itself
+        fails, the old manifest still rules and the logs of the
+        ``built`` replacements are destroyed before the error propagates.
         """
         if self._durability is None:
             return None
-        undo = Manifest(
-            epoch=self._epoch,
-            partitioner=partitioner_spec(table.partitioner),
-            shards=self._log_ids(table.shards),
-        )
-        self._durability.publish_manifest(
-            Manifest(
-                epoch=self._epoch + 1,
-                partitioner=partitioner_spec(new_partitioner),
-                shards=self._log_ids(new_shards),
+        undo = self._manifest(self._epoch, table.partitioner, table.shards)
+        try:
+            self._durability.publish_manifest(
+                self._manifest(self._epoch + 1, new_partitioner, new_shards)
             )
-        )
+        except BaseException:
+            self._delete_logs(built)
+            raise
         self._epoch += 1
         return undo
 
     def _unpublish_epoch(
-        self, undo: Optional[Manifest], new_logs: Optional[List[DurableLog]]
+        self, undo: Optional[Manifest], built: Sequence[ReplicatedShard]
     ) -> None:
         """Roll the durable epoch back after an aborted swap.
 
@@ -909,24 +680,24 @@ class ShardRouter:
             return
         self._durability.publish_manifest(undo, allow_fault=False)
         self._epoch = undo.epoch
-        self._delete_logs(new_logs)
+        self._delete_logs(built)
 
     @staticmethod
-    def _delete_logs(logs: Optional[List[DurableLog]]) -> None:
-        """Destroy next-epoch logs that no published manifest reaches."""
-        if logs:
-            for log in logs:
-                log.delete_files()
+    def _delete_logs(shards: Sequence[ReplicatedShard], seal: bool = False) -> None:
+        """Destroy every replica log of ``shards``.
 
-    def _retire_logs(self, shards: Sequence[Shard]) -> None:
-        """Seal and destroy the logs of shards a committed swap replaced."""
+        Logs of shards a committed swap replaced are sealed first;
+        next-epoch logs that no published manifest reaches are not.
+        """
         for shard in shards:
-            log = shard.durable_log
-            if log is not None:
-                log.seal()
+            for log in shard.logs():
+                if seal:
+                    log.seal()
                 log.delete_files()
 
-    def _install(self, partitioner: Partitioner, shards: Tuple[Shard, ...]) -> None:
+    def _install(
+        self, partitioner: Partitioner, shards: Tuple[ReplicatedShard, ...]
+    ) -> None:
         # Never mutate shard objects here: they are shared with the
         # still-published old table, so renumbering them in place would
         # let concurrent stats()/arbiter readers observe torn ids.
@@ -957,12 +728,10 @@ class ShardRouter:
     def _register_shards(self) -> None:
         self.arbiter.clear()
         for position, shard in enumerate(self._table.shards):
-            if shard.is_replicated:
-                # Replica budgets are divergence policy (each profile
-                # carries its own); a global rebalance would overwrite
-                # them and erase the very asymmetry replication exploits.
-                continue
-            self.arbiter.register(f"shard-{position}", shard.index)
+            # Family recipes are only ever built as a single copy, so a
+            # set names at most one index here.
+            for index in shard.arbitrated_indexes():
+                self.arbiter.register(f"shard-{position}", index)
         self.arbiter.rebalance()
 
     # ------------------------------------------------------------------

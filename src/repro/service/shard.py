@@ -1,23 +1,19 @@
-"""One service shard: an index family instance plus its access discipline.
+"""One store inside a replica set: an index instance plus its access discipline.
 
-A :class:`Shard` wraps any existing family behind a uniform
-get/put/scan surface and enforces the right synchronization for it:
+Every router shard is a :class:`~repro.replication.replica_set
+.ReplicatedShard` of N >= 1 replicas, and each replica wraps one
+:class:`Shard`: a single index behind a uniform get/put/scan surface,
+with the right synchronization for its family:
 
 * the OLC B+-tree synchronizes itself (versioned locks, validated
-  reads), so its shard carries **no operation lock** — readers run
-  truly concurrently and only the router-level ``write_gate`` orders
+  reads), so its store carries **no operation lock** — readers run
+  truly concurrently, and the replica set's ``write_gate`` orders
   writers against online split/merge;
 * every other family is single-threaded by construction (adaptive
   lookups may migrate encodings!), so both reads and writes serialize
-  on the shard's re-entrant operation lock.
+  on the store's re-entrant operation lock.
 
-The ``write_gate`` exists on every shard, thread-safe or not: the
-router acquires it around each write batch, and split/merge holds it
-(plus the operation lock, when present) for the duration of a
-build-aside+swap — which is how a rebalance can promise zero lost keys
-without stopping reads on OLC shards.
-
-A shard may also carry a :class:`~repro.durability.log.DurableLog`.
+A store may also carry a :class:`~repro.durability.log.DurableLog`.
 Writes then follow write-ahead order: the record is appended (and,
 under the ``"batch"`` sync policy, fsynced) *before* the in-memory
 index is touched, so an acknowledgment implies the write survives a
@@ -89,12 +85,7 @@ def span_if_traced(name: str, **attributes: object) -> Iterator[None]:
 
 
 class Shard:
-    """One partition of the key space served by one index instance."""
-
-    #: True on :class:`~repro.replication.replica_set.ReplicatedShard`;
-    #: the router uses it to skip budget arbitration (replica budgets
-    #: are profile policy) and to refuse split/merge.
-    is_replicated = False
+    """One copy of a partition of the key space: one index instance."""
 
     def __init__(
         self,
@@ -103,9 +94,7 @@ class Shard:
         thread_safe: bool = False,
         durable_log: Optional["DurableLog"] = None,
     ) -> None:
-        #: The position this shard was built for.  Purely informational:
-        #: the router derives routing positions from the table index, so
-        #: a shard's constructed id may go stale after splits/merges.
+        #: The position this store was built for (informational).
         self.shard_id = shard_id
         self.index = index
         self.thread_safe = thread_safe
@@ -117,8 +106,6 @@ class Shard:
         self.op_lock: Optional[threading.RLock] = (
             None if thread_safe else threading.RLock()
         )
-        #: Orders write batches against online split/merge (all families).
-        self.write_gate = threading.RLock()
         self.ops = 0
         #: Guards ``ops``: thread-safe shards serve reads with no other
         #: lock held, so unsynchronized increments would lose counts.
@@ -183,7 +170,7 @@ class Shard:
                 return list(self.index.scan(start_key, count))
 
     # ------------------------------------------------------------------
-    # Writes (caller holds ``write_gate``)
+    # Writes (caller holds the replica set's ``write_gate``)
     # ------------------------------------------------------------------
     @property
     def supports_writes(self) -> bool:
@@ -252,8 +239,8 @@ class Shard:
         """All pairs currently in the shard, sorted by key.
 
         Used by split/merge to build replacement shards aside; callers
-        must hold ``write_gate`` (and the operation lock is taken here)
-        so the snapshot is consistent.
+        must hold the set's ``write_gate`` (and the operation lock is
+        taken here) so the snapshot is consistent.
         """
         with self._guard():
             items_iter = getattr(self.index, "items", None)
@@ -289,34 +276,6 @@ class Shard:
             if census is not None:
                 return dict(census_stats(census()))
         return {}
-
-    def checkpoint_logs(self) -> List[Dict[str, Any]]:
-        """Snapshot every log this shard carries and truncate its WAL.
-
-        The caller holds ``write_gate``; the operation lock is taken
-        here so the collected pairs are consistent with the WAL's LSN.
-        A plain shard carries at most one log; a replicated shard
-        overrides this to checkpoint every replica's log.
-        """
-        log = self.durable_log
-        if log is None:
-            return []
-        with self._guard():
-            pairs = self.items()
-            lsn = log.checkpoint(pairs)
-        return [
-            {
-                "log_id": log.log_id,
-                "lsn": lsn,
-                "num_keys": len(pairs),
-                "wal_bytes": log.wal_size_bytes(),
-            }
-        ]
-
-    def close_logs(self) -> None:
-        """Release every log handle this shard carries (idempotent)."""
-        if self.durable_log is not None:
-            self.durable_log.close()
 
     def wal_lag(self) -> Optional[int]:
         """Records appended since the last snapshot (None when not durable).

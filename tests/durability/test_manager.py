@@ -13,12 +13,23 @@ def manager(tmp_path):
     return DurabilityManager(tmp_path / "store", sync="none")
 
 
+def single_copy(epoch, *log_ids):
+    """A hash-routed manifest with one ``olc`` replica per log id."""
+    return Manifest(
+        epoch=epoch,
+        partitioner={"kind": "hash", "num_shards": len(log_ids)},
+        recipes=["olc"],
+        shards=[[log_id] for log_id in log_ids],
+    )
+
+
 class TestManifest:
     def test_roundtrip(self, manager):
         manifest = Manifest(
             epoch=3,
             partitioner={"kind": "hash", "num_shards": 4},
-            shards=[DurabilityManager.log_id(3, i) for i in range(4)],
+            recipes=["point", "scan"],
+            shards=[[DurabilityManager.log_id(3, i, r) for r in range(2)] for i in range(4)],
         )
         manager.publish_manifest(manifest)
         assert manager.read_manifest() == manifest
@@ -31,7 +42,7 @@ class TestManifest:
 
     def test_corrupt_manifest_rejected(self, manager):
         manager.publish_manifest(
-            Manifest(epoch=0, partitioner={"kind": "hash", "num_shards": 1}, shards=["a"])
+            single_copy(0, "a")
         )
         text = manager.manifest_path.read_text().replace('"epoch": 0', '"epoch": 9')
         manager.manifest_path.write_text(text)
@@ -39,9 +50,9 @@ class TestManifest:
             manager.read_manifest()
 
     def test_swap_fault_keeps_previous_manifest(self, manager):
-        old = Manifest(epoch=0, partitioner={"kind": "hash", "num_shards": 1}, shards=["a"])
+        old = single_copy(0, "a")
         manager.publish_manifest(old)
-        new = Manifest(epoch=1, partitioner={"kind": "hash", "num_shards": 2}, shards=["a", "b"])
+        new = single_copy(1, "a", "b")
         with FaultInjector(site="durability.manifest.swap", fail_at=1):
             with pytest.raises(InjectedFault):
                 manager.publish_manifest(new)
@@ -49,7 +60,7 @@ class TestManifest:
         assert not list(manager.root.glob("*.tmp"))
 
     def test_allow_fault_false_bypasses_injection(self, manager):
-        manifest = Manifest(epoch=0, partitioner={"kind": "hash", "num_shards": 1}, shards=["a"])
+        manifest = single_copy(0, "a")
         with FaultInjector(site="durability.manifest.swap", fail_at=1):
             manager.publish_manifest(manifest, allow_fault=False)  # must not raise
         assert manager.read_manifest() == manifest
@@ -85,11 +96,7 @@ class TestOrphanSweep:
         orphan.close()
         (manager.wal_dir / "stray.wal.123.tmp").write_bytes(b"x")
         (manager.snap_dir / "stray.snap.456.tmp").write_bytes(b"x")
-        manifest = Manifest(
-            epoch=0,
-            partitioner={"kind": "hash", "num_shards": 1},
-            shards=["e00000000-p0000"],
-        )
+        manifest = single_copy(0, "e00000000-p0000")
         removed = manager.cleanup_orphans(manifest)
         assert removed == 4  # orphan wal + orphan snap + two temp files
         assert (manager.wal_dir / "e00000000-p0000.wal").exists()

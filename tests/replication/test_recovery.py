@@ -25,11 +25,10 @@ class TestManifest:
         durability, router, _ = build_router(tmp_path)
         router.close()
         manifest = durability.read_manifest()
-        assert manifest.replicas is not None
-        assert manifest.replicas["factor"] == 3
-        assert manifest.replicas["profiles"] == ["point", "scan", "squeezed"]
-        assert len(manifest.replicas["logs"]) == 2
-        for log_ids in manifest.replicas["logs"]:
+        assert len(manifest.recipes) == 3
+        assert manifest.recipes == ["point", "scan", "squeezed"]
+        assert len(manifest.shards) == 2
+        for log_ids in manifest.shards:
             assert len(log_ids) == 3
 
     def test_orphan_sweep_keeps_replica_logs(self, tmp_path):
@@ -50,14 +49,12 @@ class TestManifest:
         durability, router, _ = build_router(tmp_path)
         router.close()
         manifest = durability.read_manifest()
-        replicas = dict(manifest.replicas)
-        replicas["profiles"] = ["mystery"] + list(replicas["profiles"][1:])
         durability.publish_manifest(
             Manifest(
                 epoch=manifest.epoch,
                 partitioner=manifest.partitioner,
+                recipes=["mystery"] + manifest.recipes[1:],
                 shards=manifest.shards,
-                replicas=replicas,
             )
         )
         with pytest.raises(ValueError, match="mystery"):

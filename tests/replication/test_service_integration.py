@@ -6,7 +6,6 @@ import pytest
 
 from repro.net import NetClient, NetServer
 from repro.net.tenancy import TenantDirectory, TenantSpec
-from repro.service.partition import PartitionError
 from repro.service.router import ShardRouter
 
 
@@ -36,18 +35,28 @@ class TestRouterWiring:
         assert router.table.shards[0].router.policy == "round_robin"
         router.close()
 
-    def test_split_and_merge_refuse_replicated_shards(self):
+    def test_split_and_merge_rebuild_replicas(self):
+        pairs = make_pairs()
         router = ShardRouter.build(
-            make_pairs(),
+            pairs,
             family="adaptive",
             num_shards=2,
             partitioning="range",
             replication_factor=2,
+            replica_routing="round_robin",
         )
-        with pytest.raises(PartitionError, match="replicated"):
-            router.split_shard(0)
-        with pytest.raises(PartitionError, match="replicated"):
-            router.merge_shards(0)
+        router.split_shard(0)
+        assert router.num_shards == 3
+        router.merge_shards(1)
+        assert router.num_shards == 2
+        for shard in router.table.shards:
+            assert [replica.profile.name for replica in shard.replicas] == [
+                "point",
+                "scan",
+            ]
+            assert shard.router.policy == "round_robin"
+        assert router.scan(-1, len(pairs) + 1) == pairs
+        router.verify()
         router.close()
 
     def test_routed_reads_serve_through_replicas(self):

@@ -50,6 +50,20 @@ class TestBuildAndRecover:
         assert recovered.last_recovery["epoch"] == 0
         recovered.close()
 
+    def test_recover_rebuilds_the_family_the_manifest_names(self, tmp_path):
+        pairs = [(key, key * 10) for key in range(200)]
+        router = ShardRouter.build(
+            pairs, family="adaptive", num_shards=2, durability=make_durability(tmp_path)
+        )
+        router.close()
+        recovered = ShardRouter.recover(make_durability(tmp_path))
+        try:
+            families = [shard["family"] for shard in recovered.stats()["shards"]]
+            assert families == ["bptree_adaptive", "bptree_adaptive"]
+            assert state_of(recovered) == dict(pairs)
+        finally:
+            recovered.close()
+
     def test_build_publishes_manifest_before_serving(self, tmp_path):
         durability = make_durability(tmp_path)
         router = ShardRouter.build(
@@ -59,7 +73,7 @@ class TestBuildAndRecover:
         )
         manifest = durability.read_manifest()
         assert manifest.epoch == 0
-        assert manifest.shards == [DurabilityManager.log_id(0, 0)]
+        assert manifest.shards == [[DurabilityManager.log_id(0, 0, 0)]]
         router.close()
 
     def test_durable_router_requires_logs_on_every_shard(self, tmp_path):
@@ -68,7 +82,6 @@ class TestBuildAndRecover:
             ShardRouter(
                 plain.table.shards,
                 plain.table.partitioner,
-                plain._index_factory,
                 durability=make_durability(tmp_path),
             )
         plain.close()
@@ -78,6 +91,23 @@ class TestBuildAndRecover:
         with pytest.raises(RuntimeError):
             router.checkpoint()
         router.close()
+
+
+class TestSingleReplicaErrorContract:
+    def test_apply_fault_reaches_the_caller_as_itself(self, tmp_path):
+        """With one replica there is no survivor to fail over to: the
+        fault propagates unchanged and the replica stays up."""
+        router = make_router(tmp_path, num_shards=1)
+        try:
+            with FaultInjector(site="durability.wal.apply", fail_at=1):
+                with pytest.raises(InjectedFault):
+                    router.put(5000, 1)
+            (shard,) = router.table.shards
+            assert [replica.down for replica in shard.replicas] == [False]
+            router.put(5001, 2)
+            assert router.get(5001) == 2
+        finally:
+            router.close()
 
 
 class TestCheckpoint:
@@ -146,7 +176,7 @@ class TestEpochReKeying:
         )
         router.split_shard(0)
         router.close()
-        old_id = DurabilityManager.log_id(0, 0)
+        old_id = DurabilityManager.log_id(0, 0, 0)
         assert not (durability.wal_dir / f"{old_id}.wal").exists()
         assert not list(durability.snap_dir.glob(f"{old_id}.*"))
 
@@ -165,7 +195,7 @@ class TestEpochReKeying:
         assert durability.read_manifest().epoch == 0
         assert router.stats()["epoch"] == 0
         assert router.num_shards == 1
-        epoch1_id = DurabilityManager.log_id(1, 0)
+        epoch1_id = DurabilityManager.log_id(1, 0, 0)
         assert not (durability.wal_dir / f"{epoch1_id}.wal").exists()
         # The router still serves and remains durable.
         router.put(555, 5)
@@ -193,7 +223,7 @@ class TestEpochReKeying:
         # linger on disk: no manifest reaches them, so they would leak
         # until a recovery orphan sweep (or collide with a reused id).
         for position in range(3):
-            epoch1_id = DurabilityManager.log_id(1, position)
+            epoch1_id = DurabilityManager.log_id(1, position, 0)
             assert not (durability.wal_dir / f"{epoch1_id}.wal").exists()
             assert not list(durability.snap_dir.glob(f"{epoch1_id}.*"))
         router.put(901, 9)

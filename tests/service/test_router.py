@@ -8,7 +8,8 @@ import pytest
 from repro.core.budget import MemoryBudget
 from repro.obs import MetricsRegistry, Telemetry
 from repro.service.partition import PartitionError
-from repro.service.router import FAMILY_FACTORIES, ReadOnlyShardError, ShardRouter
+from repro.replication import FAMILY_RECIPES, build_replicated_shard
+from repro.service.router import ReadOnlyShardError, ShardRouter
 from repro.service.shard import Shard
 
 FAMILIES = ("olc", "adaptive", "dualstage")
@@ -41,11 +42,10 @@ class TestBuild:
 
     def test_shard_count_must_match_partitioner(self):
         from repro.service.partition import HashPartitioner
-        from repro.service.shard import Shard
 
-        factory = FAMILY_FACTORIES["olc"]
+        shard = build_replicated_shard(0, [], [FAMILY_RECIPES["olc"]])
         with pytest.raises(PartitionError):
-            ShardRouter([Shard(0, factory([]))], HashPartitioner(2), factory)
+            ShardRouter([shard], HashPartitioner(2))
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_all_keys_loaded_and_routable(self, family, partitioning):
@@ -192,7 +192,8 @@ class TestBudgetIntegration:
             budget=MemoryBudget.absolute(8_000_000),
         ) as router:
             budgets = [
-                shard.index.manager.config.budget for shard in router.table.shards
+                shard.replicas[0].shard.index.manager.config.budget
+                for shard in router.table.shards
             ]
             assert all(budget.bounded for budget in budgets)
             total = sum(budget.absolute_bytes for budget in budgets)
@@ -211,7 +212,8 @@ class TestBudgetIntegration:
             router.split_shard(0)
             assert router.arbiter.num_members == 3
             budgets = [
-                shard.index.manager.config.budget for shard in router.table.shards
+                shard.replicas[0].shard.index.manager.config.budget
+                for shard in router.table.shards
             ]
             assert all(budget.bounded for budget in budgets)
 

@@ -6,6 +6,8 @@ import threading
 
 import pytest
 
+from repro.core.budget import MemoryBudget
+from repro.durability import DurabilityManager
 from repro.faults.injector import FaultInjector, InjectedFault
 from repro.service.partition import PartitionError
 from repro.service.router import ShardRouter
@@ -294,3 +296,100 @@ class TestConcurrentReadersDuringSplit:
         values = router.get_many(written)
         assert values == list(range(200))
         router.verify()
+
+
+class TestReplicatedSplitMerge:
+    PROFILES = ["point", "scan", "squeezed"]
+
+    def test_split_and_merge_under_writers_lose_nothing_across_recovery(
+        self, tmp_path
+    ):
+        """Split then merge a durable 3-replica shard while writers run:
+        every acked write survives recovery, every shard keeps its
+        divergence profiles, and the replicas of each shard agree."""
+
+        def durability():
+            return DurabilityManager(tmp_path / "store", sync="none")
+
+        pairs = [(key, 0) for key in range(0, 1200, 2)]
+        router = ShardRouter.build(
+            pairs,
+            family="adaptive",
+            num_shards=2,
+            partitioning="range",
+            replica_profiles=self.PROFILES,
+            durability=durability(),
+        )
+        acked = dict(pairs)
+        errors = []
+        stop = threading.Event()
+
+        def writer(lo, hi):
+            # Passes over odd keys until the admin work is done, so
+            # every split/merge step races acknowledged writes.
+            version = 1
+            try:
+                while not stop.is_set():
+                    for key in range(lo, hi, 2):
+                        router.put(key, version)
+                        acked[key] = version
+                    version += 1
+            except Exception as exc:  # pragma: no cover - failure surface
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=writer, args=(1, 600)),
+            threading.Thread(target=writer, args=(601, 1200)),
+        ]
+        for thread in threads:
+            thread.start()
+        try:
+            router.split_shard(0)
+            router.merge_shards(0)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join()
+        assert not errors
+        assert (router.splits, router.merges, router.num_shards) == (1, 1, 2)
+        router.close()
+
+        recovered = ShardRouter.recover(durability())
+        try:
+            recovered.verify()
+            assert recovered.stats()["epoch"] == 2
+            for shard in recovered.table.shards:
+                assert [r.profile.name for r in shard.replicas] == self.PROFILES
+            content = dict(recovered.scan(-1, len(acked) + 10))
+            assert content == acked
+        finally:
+            recovered.close()
+
+    def test_split_keeps_profile_budgets_out_of_the_arbiter(self):
+        """Profile budgets are divergence policy: a split's rebalance
+        must leave them alone, while family shards stay arbitrated."""
+        budget = MemoryBudget.absolute(4_000_000)
+        replicated = ShardRouter.build(
+            int_pairs(600),
+            family="adaptive",
+            num_shards=2,
+            partitioning="range",
+            replica_profiles=self.PROFILES,
+            budget=budget,
+        )
+        plain = ShardRouter.build(
+            int_pairs(600),
+            family="adaptive",
+            num_shards=2,
+            partitioning="range",
+            budget=budget,
+        )
+        with replicated, plain:
+            replicated.split_shard(0)
+            plain.split_shard(0)
+            for shard in replicated.table.shards:
+                for replica in shard.replicas:
+                    manager = replica.shard.index.manager
+                    assert manager.config.budget == replica.profile.budget()
+            assert replicated.arbiter.num_members == 0
+            assert plain.arbiter.num_members == 3
