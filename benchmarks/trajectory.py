@@ -61,7 +61,7 @@ def _extract_pr2(payload):
 
 def _extract_pr3(payload):
     suite = payload["suite"]
-    bound = payload.get("overhead_bound", 0.05)
+    bound = payload["overhead_bound"]
     return [
         _row(suite, f"{family}.gate_share", stats["gate_share"], "<=", bound)
         for family, stats in payload.get("families", {}).items()
@@ -133,7 +133,7 @@ def _extract_pr7(payload):
 
 def _extract_pr8(payload):
     suite = payload["suite"]
-    bound = payload.get("overhead_bound", 0.05)
+    bound = payload["overhead_bound"]
     headline = payload["headline"]
     return [
         _row(suite, "tracing.disabled_share", headline["disabled_share"], "<=", bound),
@@ -153,7 +153,7 @@ def _extract_pr9(payload):
             "replication.divergent_speedup",
             headline["divergent_speedup"],
             ">=",
-            headline.get("required", 1.3),
+            headline["required"],
         ),
     ]
     fault = payload.get("fault_leg")
@@ -170,23 +170,6 @@ def _extract_pr9(payload):
     return rows
 
 
-def _extract_pr10(payload):
-    suite = payload["suite"]
-    headline = payload["headline"]
-    return [
-        _row(suite, "analysis.cold_s", headline["cold_s"]),
-        _row(suite, "analysis.warm_s", headline["warm_s"]),
-        _row(
-            suite,
-            "analysis.warm_speedup",
-            headline["warm_speedup"],
-            ">=",
-            headline["required"],
-        ),
-        _row(suite, "analysis.findings", payload["findings"], "==", 0),
-    ]
-
-
 #: File stem -> headline extractor.  Files not listed here are checked
 #: for well-formedness only and reported by suite name.
 EXTRACTORS = {
@@ -197,7 +180,6 @@ EXTRACTORS = {
     "BENCH_PR7": _extract_pr7,
     "BENCH_PR8": _extract_pr8,
     "BENCH_PR9": _extract_pr9,
-    "BENCH_PR10": _extract_pr10,
 }
 
 

@@ -1,48 +1,20 @@
 """The ``python -m repro.analysis`` command line.
 
-Exit codes follow linter convention: 0 clean, 1 active findings (or,
-under ``--check-suppressions``, unjustified or stale suppressions),
-2 usage or parse errors.
-
-Incremental modes:
-
-* ``--cache`` — keep a per-file manifest under ``--cache-dir``
-  (default ``.repro-analysis-cache/``); warm runs replay findings
-  without parsing, partial runs re-analyze only the changed import
-  closure (see :mod:`repro.analysis.cache`);
-* ``--changed-only [REF]`` — analyze only files changed relative to
-  the git ref (default ``HEAD``) plus their transitive import closure;
-  the PR fast path, while main and nightly run the full tree.
-
-Severity gating: ``error`` findings always exit 1; ``warning``
-findings exit 1 unless recorded in the checked-in baseline
-(``--baseline``, default ``.repro-analysis-baseline.json`` when
-present; regenerate with ``--write-baseline``).
+Every run parses and analyzes the full set of paths it is given.  Exit
+codes follow linter convention: 0 clean, 1 any finding (or, under
+``--check-suppressions``, unjustified or stale suppressions), 2 usage or
+parse errors.  A rule's severity is a reported label; it does not change
+the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_NAME,
-    load_baseline,
-    partition,
-    write_baseline,
-)
-from repro.analysis.cache import (
-    DEFAULT_CACHE_DIR,
-    WARM,
-    AnalysisCache,
-    import_closure,
-    module_deps,
-    rule_key,
-)
 from repro.analysis.core import (
     Finding,
     Rule,
@@ -50,15 +22,9 @@ from repro.analysis.core import (
     build_rules,
     run_rules,
 )
-from repro.analysis.loader import (
-    AnalysisError,
-    ParsedModule,
-    discover,
-    load_module,
-    load_paths,
-)
+from repro.analysis.loader import AnalysisError, ParsedModule, load_paths
 from repro.analysis.project import Project
-from repro.analysis.reporters import render_json, render_sarif, render_text
+from repro.analysis.reporters import render_json, render_text
 from repro.analysis.rules.ra004_telemetry import TelemetryHygieneRule
 
 
@@ -77,7 +43,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
     )
@@ -111,41 +77,6 @@ def _parser() -> argparse.ArgumentParser:
         help="audit `# repro: ignore[...]` comments instead of reporting "
         "findings: flag missing `-- justification`s and *stale* "
         "suppressions whose rule no longer fires on their line",
-    )
-    parser.add_argument(
-        "--cache",
-        action="store_true",
-        help="reuse per-file results from the analysis cache; only the "
-        "changed import closure is re-analyzed",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help=f"cache directory (default: {DEFAULT_CACHE_DIR}; implies --cache)",
-    )
-    parser.add_argument(
-        "--changed-only",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="REF",
-        help="analyze only files changed relative to the git REF (default "
-        "HEAD) plus their transitive import closure; takes precedence "
-        "over --cache",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="accepted-warning baseline file (default: "
-        f"{DEFAULT_BASELINE_NAME} when present)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record every current warning finding into the baseline "
-        "file and exit 0",
     )
     return parser
 
@@ -238,86 +169,27 @@ def _check_suppressions(
     return 0
 
 
-# -- changed-only mode ---------------------------------------------------
-def _git_changed_files(ref: str) -> Optional[Set[Path]]:
-    """Resolved paths changed relative to ``ref``, plus untracked files."""
-    def run(*argv: str) -> str:
-        return subprocess.run(
-            ["git", *argv], capture_output=True, text=True, check=True
-        ).stdout
-
-    try:
-        top = Path(run("rev-parse", "--show-toplevel").strip())
-        names = run("diff", "--name-only", ref, "--").splitlines()
-        names += run("ls-files", "--others", "--exclude-standard").splitlines()
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return {(top / name).resolve() for name in names if name.strip()}
-
-
-def _changed_closure(
-    modules: Sequence[ParsedModule], changed: Set[Path]
-) -> List[ParsedModule]:
-    known = {module.name for module in modules}
-    edges = {
-        module.name: set(module_deps(module.tree, known)) for module in modules
-    }
-    seeds = {
-        module.name
-        for module in modules
-        if module.path.resolve() in changed
-    }
-    if not seeds:
-        return []
-    closure = import_closure(seeds, edges)
-    return [module for module in modules if module.name in closure]
-
-
 # -- reporting -----------------------------------------------------------
-def _emit(report: str, output: Optional[str]) -> None:
-    if output is None:
-        print(report)
-    else:
-        Path(output).write_text(report + "\n")
-
-
 def _report(
     args: argparse.Namespace,
     findings: List[Finding],
-    suppressed_findings: List[Finding],
+    suppressed: int,
     rules: Sequence[Rule],
 ) -> int:
-    """Apply the baseline, render the report, and compute the exit code."""
-    baseline_path = Path(args.baseline or DEFAULT_BASELINE_NAME)
-    if args.write_baseline:
-        count = write_baseline(baseline_path, findings)
-        print(f"baseline: recorded {count} warning finding(s) in {baseline_path}")
-        return 0
-    accepted = (
-        load_baseline(baseline_path)
-        if args.baseline is not None or baseline_path.exists()
-        else set()
-    )
-    active, baselined = partition(findings, accepted)
-    suppressed = len(suppressed_findings)
+    """Render the report; any finding exits 1."""
     if args.format == "text":
-        report = render_text(active, suppressed, baselined=len(baselined))
-    elif args.format == "json":
+        report = render_text(findings, suppressed)
+    else:
         report = json.dumps(
-            render_json(
-                active,
-                rules,
-                [str(p) for p in args.paths],
-                suppressed,
-                baselined=len(baselined),
-            ),
+            render_json(findings, rules, [str(p) for p in args.paths], suppressed),
             indent=2,
             sort_keys=True,
         )
+    if args.output is None:
+        print(report)
     else:
-        report = json.dumps(render_sarif(active, rules), indent=2, sort_keys=True)
-    _emit(report, args.output)
-    return 1 if active else 0
+        Path(args.output).write_text(report + "\n")
+    return 1 if findings else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -332,84 +204,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
 
-    if args.check_suppressions:
-        try:
-            modules = load_paths([Path(path) for path in args.paths])
-        except AnalysisError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        if not modules:
-            print("error: no python files found", file=sys.stderr)
-            return 2
-        return _check_suppressions(modules, rules)
-
-    if args.changed_only is not None:
-        try:
-            modules = load_paths([Path(path) for path in args.paths])
-        except AnalysisError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        if not modules:
-            print("error: no python files found", file=sys.stderr)
-            return 2
-        changed = _git_changed_files(args.changed_only)
-        if changed is None:
-            print(
-                f"error: git diff against {args.changed_only!r} failed "
-                "(not a git checkout, or unknown ref)",
-                file=sys.stderr,
-            )
-            return 2
-        closure = _changed_closure(modules, changed)
-        print(
-            f"changed-only: {len(closure)}/{len(modules)} module(s) in the "
-            f"changed import closure (vs {args.changed_only})",
-            file=sys.stderr,
-        )
-        if not closure:
-            return _report(args, [], [], rules)
-        findings, suppressed_findings = run_rules(Project(closure), rules)
-        return _report(args, findings, suppressed_findings, rules)
-
-    use_cache = args.cache or args.cache_dir is not None
-    if use_cache:
-        try:
-            files = discover([Path(path) for path in args.paths])
-        except AnalysisError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        if not files:
-            print("error: no python files found", file=sys.stderr)
-            return 2
-        cache = AnalysisCache(Path(args.cache_dir or DEFAULT_CACHE_DIR))
-        key = rule_key((rule.id for rule in rules), args.trace_schema)
-        plan = cache.plan(files, key)
-        if plan.kind == WARM:
-            print(
-                f"cache: warm ({len(files)} file(s) unchanged)", file=sys.stderr
-            )
-            return _report(
-                args, plan.carried_findings, plan.carried_suppressed, rules
-            )
-        print(
-            f"cache: {plan.kind}, re-analyzing {len(plan.closure_paths)}"
-            f"/{len(files)} file(s)",
-            file=sys.stderr,
-        )
-        try:
-            analyzed = [load_module(path) for path in plan.closure_paths]
-        except AnalysisError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        fresh, fresh_suppressed = run_rules(Project(analyzed), rules)
-        cache.commit(plan, key, analyzed, fresh, fresh_suppressed)
-        return _report(
-            args,
-            sorted(plan.carried_findings + fresh),
-            sorted(plan.carried_suppressed + fresh_suppressed),
-            rules,
-        )
-
     try:
         modules = load_paths([Path(path) for path in args.paths])
     except AnalysisError as error:
@@ -418,8 +212,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not modules:
         print("error: no python files found", file=sys.stderr)
         return 2
+    if args.check_suppressions:
+        return _check_suppressions(modules, rules)
     findings, suppressed_findings = run_rules(Project(modules), rules)
-    return _report(args, findings, suppressed_findings, rules)
+    return _report(args, findings, len(suppressed_findings), rules)
 
 
 def list_rule_ids() -> List[str]:

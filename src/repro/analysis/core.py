@@ -23,10 +23,6 @@ if TYPE_CHECKING:
     from repro.analysis.project import Project
 
 
-#: Finding severities, in increasing order of strictness.
-SEVERITIES = ("warning", "error")
-
-
 @dataclass(frozen=True, order=True)
 class Finding:
     """One rule violation at one source location."""
@@ -50,19 +46,6 @@ class Finding:
             "severity": self.severity,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "Finding":
-        """Rebuild a finding from its :meth:`as_dict` shape (cache replay)."""
-        return cls(
-            path=str(payload["path"]),
-            line=int(payload["line"]),  # type: ignore[call-overload]
-            col=int(payload["col"]),  # type: ignore[call-overload]
-            rule=str(payload["rule"]),
-            message=str(payload["message"]),
-            symbol=str(payload.get("symbol", "")),
-            severity=str(payload.get("severity", "error")),
-        )
-
 
 class Rule(ABC):
     """Base class for one analysis pass."""
@@ -70,8 +53,8 @@ class Rule(ABC):
     id: str = ""
     title: str = ""
     rationale: str = ""
-    #: ``"error"`` findings always gate; ``"warning"`` findings gate unless
-    #: listed in the checked-in baseline (see ``docs/static_analysis.md``).
+    #: A reported label only: every finding, ``"error"`` or ``"warning"``,
+    #: exits 1 (see ``docs/static_analysis.md``).
     severity: str = "error"
 
     @abstractmethod

@@ -8,8 +8,9 @@ free, and RA002 analyzes everything lexically reachable from them.
 
 A :class:`HotRoot` pairs a dotted module prefix with an ``fnmatch``
 pattern over the function's local qualified name (``Class.method`` or
-``function``).  The defaults cover the four index families' read/write
-entry points, the leaf probe/decode layer, the succinct primitives they
+``function``).  The defaults cover the index families' read entry
+points, the write entry points of the dynamic families, the hash maps'
+mapping protocol, the leaf decode layer, the succinct primitives they
 lean on, and the access sampler — extend the tuple (or pass custom
 roots to :class:`~repro.analysis.rules.ra002_hotpath
 .HotPathPurityRule`) when a new family lands.  The registry is
@@ -46,23 +47,30 @@ _FAMILY_PREFIXES: Tuple[str, ...] = (
     "repro.fst",
     "repro.hybridtrie",
     "repro.dualstage",
-    "repro.hashmap",
+)
+
+#: Families with a write path; FST and the hybrid trie are static.
+_WRITABLE_PREFIXES: Tuple[str, ...] = (
+    "repro.bptree",
+    "repro.art",
+    "repro.dualstage",
 )
 
 #: The registered hot roots: reachability for RA002 starts here.
 DEFAULT_HOT_ROOTS: Tuple[HotRoot, ...] = tuple(
-    [
-        HotRoot(prefix, pattern)
-        for prefix in _FAMILY_PREFIXES
-        for pattern in ("*lookup*", "*insert*")
-    ]
+    [HotRoot(prefix, "*lookup*") for prefix in _FAMILY_PREFIXES]
+    + [HotRoot(prefix, "*insert*") for prefix in _WRITABLE_PREFIXES]
     + [
-        # Leaf probe / decode layer: reads that families dispatch to
-        # dynamically (invisible to the call graph).
-        HotRoot("repro.bptree.leaves", "*.probe*"),
+        # The hash maps expose the mapping protocol, not ``lookup``.
+        HotRoot("repro.hashmap", "*.get"),
+        HotRoot("repro.hashmap", "*.__getitem__"),
+        HotRoot("repro.hashmap", "*.__contains__"),
+        # Leaf decode layer: reads that families dispatch to dynamically
+        # (invisible to the call graph).  Leaf ``lookup``/``lookup_run``
+        # are covered by the ``repro.bptree`` root above.
         HotRoot("repro.bptree.leaves", "*.entries_from"),
         # Succinct primitives backing compressed probes.
-        HotRoot("repro.succinct", "*.get"),
+        HotRoot("repro.succinct", "*.__getitem__"),
         HotRoot("repro.succinct", "*.rank*"),
         HotRoot("repro.succinct", "*.select*"),
         HotRoot("repro.succinct", "*decode*"),

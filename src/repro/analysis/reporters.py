@@ -1,28 +1,21 @@
-"""Finding reporters: human text, machine JSON, and SARIF 2.1.0.
+"""Finding reporters: human text and machine JSON.
 
-The JSON shape is pinned by ``docs/analysis_report_schema.json`` and the
-SARIF output by the structural subset in ``docs/sarif_min_schema.json``
-(the full SARIF schema is enormous; CI validates the fields consumers
-actually read).  Both schemas are exercised by ``tests/analysis``.
+The JSON shape is pinned by ``docs/analysis_report_schema.json``, which
+``tests/analysis`` and CI validate the report against.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.analysis.core import Finding, Rule
 
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA_URI = "https://json.schemastore.org/sarif-2.1.0.json"
 TOOL_NAME = "repro.analysis"
-TOOL_VERSION = "1.0.0"
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
-def render_text(
-    findings: Sequence[Finding], suppressed: int = 0, baselined: int = 0
-) -> str:
+def render_text(findings: Sequence[Finding], suppressed: int = 0) -> str:
     """One line per finding, ruff/gcc style, plus a summary line."""
     lines = [
         f"{f.path}:{f.line}:{f.col}: {f.rule} {f.message}"
@@ -31,14 +24,11 @@ def render_text(
         for f in findings
     ]
     by_rule = Counter(f.rule for f in findings)
-    tail = f"; {baselined} baselined warning(s)" if baselined else ""
     if findings:
         counts = ", ".join(f"{rule}: {count}" for rule, count in sorted(by_rule.items()))
-        lines.append(
-            f"{len(findings)} finding(s) ({counts}); {suppressed} suppressed{tail}"
-        )
+        lines.append(f"{len(findings)} finding(s) ({counts}); {suppressed} suppressed")
     else:
-        lines.append(f"clean: 0 findings; {suppressed} suppressed{tail}")
+        lines.append(f"clean: 0 findings; {suppressed} suppressed")
     return "\n".join(lines)
 
 
@@ -47,7 +37,6 @@ def render_json(
     rules: Sequence[Rule],
     paths: Sequence[str],
     suppressed: int = 0,
-    baselined: int = 0,
 ) -> Dict[str, object]:
     """The machine-readable report (docs/analysis_report_schema.json)."""
     by_rule = Counter(f.rule for f in findings)
@@ -68,51 +57,6 @@ def render_json(
         "summary": {
             "total": len(findings),
             "suppressed": suppressed,
-            "baselined": baselined,
             "by_rule": {rule_id: by_rule[rule_id] for rule_id in sorted(by_rule)},
         },
-    }
-
-
-def render_sarif(findings: Sequence[Finding], rules: Sequence[Rule]) -> Dict[str, object]:
-    """A SARIF 2.1.0 log (docs/sarif_min_schema.json subset)."""
-    results: List[Dict[str, object]] = [
-        {
-            "ruleId": f.rule,
-            "level": f.severity,
-            "message": {"text": f.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": f.path},
-                        "region": {"startLine": f.line, "startColumn": f.col},
-                    }
-                }
-            ],
-        }
-        for f in findings
-    ]
-    return {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": TOOL_NAME,
-                        "version": TOOL_VERSION,
-                        "informationUri": "docs/static_analysis.md",
-                        "rules": [
-                            {
-                                "id": rule.id,
-                                "shortDescription": {"text": rule.title},
-                                "fullDescription": {"text": rule.rationale},
-                            }
-                            for rule in rules
-                        ],
-                    }
-                },
-                "results": results,
-            }
-        ],
     }

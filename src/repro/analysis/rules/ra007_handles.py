@@ -21,8 +21,9 @@ three days in.  This rule checks two shapes lexically:
   ``truncate_upto`` abort-path leak.
 
 Lifecycle tracking across functions is out of scope (ownership handoff
-is an escape), so the rule is a **warning**: new findings gate CI, but
-reviewed-and-accepted ones can be baselined (docs/static_analysis.md).
+is an escape), so the rule is labelled a **warning**.  The label does not
+change gating: every finding exits 1, and a reviewed false positive takes
+a justified suppression (docs/static_analysis.md).
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
-"""A minimal JSON-Schema subset validator for the report formats.
+"""A minimal JSON-Schema subset validator for the JSON report.
 
 CI validates ``--format json`` output against ``docs/analysis_report
-_schema.json`` and SARIF output against ``docs/sarif_min_schema.json``
-without a third-party ``jsonschema`` dependency (mirroring the
-hand-rolled validator idiom of :mod:`repro.obs.schema`).  Supported
-keywords — the only ones those two schemas use:
+_schema.json`` without a third-party ``jsonschema`` dependency
+(mirroring the hand-rolled validator idiom of :mod:`repro.obs.schema`).
+Supported keywords — the only ones that schema uses:
 
 ``type`` (object/array/string/integer/number/boolean), ``required``,
 ``properties``, ``additionalProperties`` (``false`` or a schema),

@@ -1,9 +1,14 @@
 """RA002 hot-path purity: reachability, impurities, and exemptions."""
 
+import ast
+
 from repro.analysis.hotpaths import DEFAULT_HOT_ROOTS, HotRoot, hot_root_qualnames
+from repro.analysis.loader import load_paths
+from repro.analysis.locks import SERVICE_LOCK_RANKS, classify_lock
+from repro.analysis.project import Project
 from repro.analysis.rules.ra002_hotpath import HotPathPurityRule
 
-from tests.analysis.helpers import fixture_project, messages
+from tests.analysis.helpers import REPO_ROOT, fixture_project, messages
 
 
 def _run(fixture, roots):
@@ -61,3 +66,24 @@ class TestRootRegistry:
         root = HotRoot("repro.bptree", "*lookup*")
         # Prefix match is on dotted boundaries, not raw startswith.
         assert not root.module_prefix.startswith("repro.bptree_extra")
+
+    def test_every_registry_entry_matches_the_tree(self):
+        # A root or lock kind that matches nothing silently checks
+        # nothing: a renamed method would drop out of RA002/RA006.
+        modules = load_paths([REPO_ROOT / "src" / "repro"])
+        functions = Project(modules).functions.values()
+        dead_roots = [
+            root
+            for root in DEFAULT_HOT_ROOTS
+            if not any(root.matches(info) for info in functions)
+        ]
+        assert dead_roots == []
+        acquired = {
+            use.kind
+            for module in modules
+            for node in ast.walk(module.tree)
+            if isinstance(node, (ast.With, ast.AsyncWith))
+            for item in node.items
+            if (use := classify_lock(item.context_expr)) is not None
+        }
+        assert set(SERVICE_LOCK_RANKS) <= acquired

@@ -18,7 +18,7 @@ class TestFiringFixture:
 
     def test_findings_are_warnings(self):
         # RA007's ownership tracking is approximate by design, so its
-        # findings gate through the baseline, not unconditionally.
+        # findings are labelled warnings (they still exit 1).
         assert all(f.severity == "warning" for f in _run("ra007_bad.py"))
 
     def test_abort_path_reassign_without_close(self):

@@ -63,6 +63,18 @@ class TestCollect:
         assert rows == []
         assert len(errors) == 3
 
+    def test_missing_bound_is_malformed_not_defaulted(self, tmp_path):
+        # A result file must carry its own bound; the aggregator never
+        # supplies one.
+        write(
+            tmp_path,
+            "BENCH_PR9.json",
+            {"suite": "PR9 divergent replicas", "headline": {"divergent_speedup": 1.5}},
+        )
+        rows, errors = trajectory.collect(tmp_path)
+        assert rows == []
+        assert errors == ["BENCH_PR9.json: malformed for BENCH_PR9 extractor: 'required'"]
+
     def test_files_sort_by_pr_number(self, tmp_path):
         # PR numbers without extractors, so ordering is all that matters;
         # 12 vs 101 sorts numerically, not lexicographically.
