@@ -9,8 +9,8 @@ free, and RA002 analyzes everything lexically reachable from them.
 A :class:`HotRoot` pairs a dotted module prefix with an ``fnmatch``
 pattern over the function's local qualified name (``Class.method`` or
 ``function``).  The defaults cover the index families' read entry
-points, the write entry points of the dynamic families, the hash maps'
-mapping protocol, the leaf decode layer, the succinct primitives they
+points, the write entry points of the dynamic families and the hash
+maps, the hash maps' mapping-protocol reads, the leaf decode layer, the succinct primitives they
 lean on, and the access sampler — extend the tuple (or pass custom
 roots to :class:`~repro.analysis.rules.ra002_hotpath
 .HotPathPurityRule`) when a new family lands.  The registry is
@@ -54,6 +54,7 @@ _WRITABLE_PREFIXES: Tuple[str, ...] = (
     "repro.bptree",
     "repro.art",
     "repro.dualstage",
+    "repro.hashmap",
 )
 
 #: The registered hot roots: reachability for RA002 starts here.
@@ -61,7 +62,7 @@ DEFAULT_HOT_ROOTS: Tuple[HotRoot, ...] = tuple(
     [HotRoot(prefix, "*lookup*") for prefix in _FAMILY_PREFIXES]
     + [HotRoot(prefix, "*insert*") for prefix in _WRITABLE_PREFIXES]
     + [
-        # The hash maps expose the mapping protocol, not ``lookup``.
+        # The hash maps read through the mapping protocol, not ``lookup``.
         HotRoot("repro.hashmap", "*.get"),
         HotRoot("repro.hashmap", "*.__getitem__"),
         HotRoot("repro.hashmap", "*.__contains__"),

@@ -512,7 +512,7 @@ class ShardRouter:
             table = self._table
             self._check_shard_id(table, shard_id)
             shard = table.shards[shard_id]
-            with shard.write_gate, shard.op_lock:
+            with shard.write_gate, shard._guard():
                 fault_point("service.split.collect")
                 pairs = shard.items()
                 split_key = at_key if at_key is not None else self._median_key(pairs)
@@ -564,7 +564,7 @@ class ShardRouter:
             # op_lock in the lock hierarchy, and writers acquire gate then
             # op lock per shard, so interleaving gate/op across shards here
             # inverts the order (RA001).
-            with left.write_gate, right.write_gate, left.op_lock, right.op_lock:
+            with left.write_gate, right.write_gate, left._guard(), right._guard():
                 fault_point("service.merge.collect")
                 pairs = left.items() + right.items()
                 fault_point("service.merge.build")

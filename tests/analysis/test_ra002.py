@@ -71,19 +71,35 @@ class TestRootRegistry:
         # A root or lock kind that matches nothing silently checks
         # nothing: a renamed method would drop out of RA002/RA006.
         modules = load_paths([REPO_ROOT / "src" / "repro"])
-        functions = Project(modules).functions.values()
+        project = Project(modules)
+        functions = project.functions.values()
         dead_roots = [
             root
             for root in DEFAULT_HOT_ROOTS
             if not any(root.matches(info) for info in functions)
         ]
         assert dead_roots == []
-        acquired = {
-            use.kind
-            for module in modules
-            for node in ast.walk(module.tree)
-            if isinstance(node, (ast.With, ast.AsyncWith))
-            for item in node.items
-            if (use := classify_lock(item.context_expr)) is not None
-        }
+        # Both the read and the write path of the hash maps stay hot.
+        qualnames = hot_root_qualnames(project)
+        assert "repro.hashmap.hopscotch.HopscotchMap.get" in qualnames
+        assert "repro.hashmap.hopscotch.HopscotchMap._try_insert" in qualnames
+        acquired = set()
+        for module in modules:
+            for node in ast.walk(module.tree):
+                if isinstance(node, (ast.With, ast.AsyncWith)):
+                    exprs = [item.context_expr for item in node.items]
+                elif isinstance(node, ast.FunctionDef) and node.name in SERVICE_LOCK_RANKS:
+                    # A lock accessor (``_guard``) acquires the lock it returns.
+                    exprs = [
+                        sub
+                        for ret in ast.walk(node)
+                        if isinstance(ret, ast.Return) and ret.value is not None
+                        for sub in ast.walk(ret.value)
+                        if isinstance(sub, ast.Attribute)
+                    ]
+                else:
+                    continue
+                acquired.update(
+                    use.kind for expr in exprs if (use := classify_lock(expr)) is not None
+                )
         assert set(SERVICE_LOCK_RANKS) <= acquired
