@@ -21,13 +21,15 @@ sequential write amortized over the checkpoint interval, and recovery
 charges one sequential read of snapshot + tail — numbers this bench
 reports honestly rather than assumes.
 
-Regression checking compares *ratios* (group-commit / no-WAL), which
-are stable across machines; absolute ops/sec are reported alongside.
+The records (see ``records.py``) gate the group-commit retention at
+>= 50% on every run, and with ``--check`` every mode's *ratio* (mode /
+no-WAL) against the baseline — ratios are stable across machines;
+absolute ops/sec are reported alongside.
 
-``--crash-campaign N`` additionally runs the ISSUE-6 crash-recovery
-fault campaign at N injected crashes (see
-``repro.harness.experiments_durability``) and fails on any lost
-acknowledged write.
+``--crash-campaign N`` additionally runs the crash-recovery fault
+campaign at N injected crashes (see
+``repro.harness.experiments_durability``); its lost and phantom write
+counts are records bounded at zero.
 
 Run directly::
 
@@ -43,7 +45,6 @@ or through pytest (reduced scale)::
 """
 
 import argparse
-import json
 import shutil
 import tempfile
 import time
@@ -55,6 +56,8 @@ from repro.durability import DurabilityManager
 from repro.harness.experiments_durability import experiment_crash_campaign
 from repro.obs.slo import evaluate_checks, parse_check
 from repro.service.router import ShardRouter
+
+import records
 
 DEFAULT_KEYS = 40_000
 BATCH_SIZE = 500
@@ -69,14 +72,19 @@ MODES = (
     ("wal_fsync_per_batch", "batch"),
 )
 
+#: Retention drift-record metric per write mode.
+RETENTION_METRICS = {
+    "wal_off": "wal_off_retention",
+    "wal_group_commit": "group_commit_retention",
+    "wal_fsync_per_batch": "fsync_per_batch_retention",
+}
+
 
 def _timed_put_many(sync, num_writes, batch_size, family="olc"):
     """Wall-clock ops/sec of sustained ``put_many`` under one sync mode."""
     root = Path(tempfile.mkdtemp(prefix="repro-bench-durability-"))
     try:
-        durability = (
-            None if sync is None else DurabilityManager(root / "store", sync=sync)
-        )
+        durability = None if sync is None else DurabilityManager(root / "store", sync=sync)
         initial = [(key, key) for key in range(4_000)]
         router = ShardRouter.build(
             initial,
@@ -136,9 +144,7 @@ def run_recovery_bench(tail_lengths=(0, 4_000, 16_000), batch_size=BATCH_SIZE):
                 )
             router.close()
             begin = time.perf_counter()
-            recovered = ShardRouter.recover(
-                DurabilityManager(root / "store", sync="none")
-            )
+            recovered = ShardRouter.recover(DurabilityManager(root / "store", sync="none"))
             elapsed = time.perf_counter() - begin
             summary = recovered.last_recovery or {}
             recovered.close()
@@ -163,7 +169,7 @@ def run_durability_bench(num_keys=DEFAULT_KEYS, batch_size=BATCH_SIZE):
     """Run both sweeps; returns the BENCH_PR6.json payload."""
     modes = run_throughput_bench(num_keys=num_keys, batch_size=batch_size)
     recovery = run_recovery_bench()
-    return {
+    payload = {
         "suite": "PR6 durability bench",
         "keys": num_keys,
         "batch_size": batch_size,
@@ -174,6 +180,43 @@ def run_durability_bench(num_keys=DEFAULT_KEYS, batch_size=BATCH_SIZE):
             "required": GROUP_COMMIT_RETENTION_REQUIRED,
         },
     }
+    payload["records"] = headline_records(payload)
+    return payload
+
+
+def headline_records(payload):
+    """Group commit keeps >= 50% of no-WAL writes, and every mode's drift."""
+    headline = payload["headline"]
+    rows = [
+        records.record(
+            "group_commit_retention",
+            headline["group_commit_retention"],
+            "frac",
+            "wall",
+            ">=",
+            headline["required"],
+        )
+    ]
+    for mode_key, stats in payload["write_throughput"].items():
+        rows.append(
+            records.record(
+                RETENTION_METRICS[mode_key], stats["retention_vs_wal_off"], "frac", "wall", ">="
+            )
+        )
+    return rows
+
+
+def campaign_records(summary):
+    """The crash campaign loses and fabricates no acknowledged write."""
+    return [
+        records.record("crash_campaign.crashes", summary["crashes"], "count", "wall"),
+        records.record(
+            "crash_campaign.lost_writes", summary["lost_writes"], "count", "wall", "==", 0
+        ),
+        records.record(
+            "crash_campaign.phantom_writes", summary["phantom_writes"], "count", "wall", "==", 0
+        ),
+    ]
 
 
 def format_report(payload):
@@ -195,45 +238,11 @@ def format_report(payload):
     return "\n".join(lines)
 
 
-def check_headline(payload):
-    """The acceptance gate: group commit keeps >= 50% of no-WAL writes."""
-    headline = payload["headline"]
-    assert headline["group_commit_retention"] >= GROUP_COMMIT_RETENTION_REQUIRED, (
-        f"group-commit WAL retains only "
-        f"{headline['group_commit_retention']:.0%} of no-WAL write throughput; "
-        f"the durability claim requires >= {GROUP_COMMIT_RETENTION_REQUIRED:.0%}"
-    )
-    return headline["group_commit_retention"]
-
-
-def check_against_baseline(payload, baseline, tolerance):
-    """Fail on retention-ratio regressions beyond ``tolerance``.
-
-    Only ratios are compared (machine-independent); modes present in
-    the baseline but missing from the current run count as regressions.
-    """
-    failures = []
-    for mode_key, stats in baseline.get("write_throughput", {}).items():
-        current = payload["write_throughput"].get(mode_key)
-        if current is None:
-            failures.append(f"mode={mode_key}: missing from current run")
-            continue
-        floor = stats["retention_vs_wal_off"] * (1.0 - tolerance)
-        if current["retention_vs_wal_off"] < floor:
-            failures.append(
-                f"mode={mode_key}: retention "
-                f"{current['retention_vs_wal_off']:.2f} fell below {floor:.2f} "
-                f"(baseline {stats['retention_vs_wal_off']:.2f} "
-                f"- {tolerance:.0%} tolerance)"
-            )
-    return failures
-
-
 @pytest.mark.perf
 def test_durability_bench_headline():
     payload = run_durability_bench(num_keys=8_000)
     print(format_report(payload))
-    assert check_headline(payload) >= GROUP_COMMIT_RETENTION_REQUIRED
+    assert not records.failures(payload["records"])
 
 
 @pytest.mark.faults
@@ -250,27 +259,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Durability bench (PR 6).")
     parser.add_argument("--keys", type=int, default=DEFAULT_KEYS)
     parser.add_argument("--batch-size", type=int, default=BATCH_SIZE)
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=RESULT_FILE,
-        help=f"result JSON path (default {RESULT_FILE})",
-    )
-    parser.add_argument(
-        "--no-write", action="store_true", help="skip writing the result JSON"
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        help="baseline JSON to compare retention ratios against",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.30,
-        help="allowed relative retention regression vs the baseline (default 0.30)",
-    )
+    records.add_arguments(parser, RESULT_FILE, 0.30)
     parser.add_argument(
         "--crash-campaign",
         type=int,
@@ -293,18 +282,6 @@ def main(argv=None) -> int:
         parser.error("--slo requires --crash-campaign N")
     payload = run_durability_bench(num_keys=args.keys, batch_size=args.batch_size)
     print(format_report(payload))
-    check_headline(payload)
-    if args.check is not None:
-        baseline = json.loads(args.check.read_text())
-        failures = check_against_baseline(payload, baseline, args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print(
-            f"no retention regressions vs {args.check} "
-            f"(tolerance {args.tolerance:.0%})"
-        )
     if args.crash_campaign > 0:
         summary = experiment_crash_campaign(num_crashes=args.crash_campaign)
         print(
@@ -317,9 +294,7 @@ def main(argv=None) -> int:
             f"{summary['lost_writes']} lost acknowledged writes"
         )
         payload["crash_campaign"] = summary
-        if summary["lost_writes"] or summary["phantom_writes"]:
-            print("REGRESSION: crash campaign lost or fabricated writes")
-            return 1
+        payload["records"] += campaign_records(summary)
         if slo_checks:
             values = {
                 key: float(value)
@@ -332,10 +307,7 @@ def main(argv=None) -> int:
             if violations:
                 return 1
             print(f"slo ok: {len(slo_checks)} campaign check(s) passed")
-    if not args.no_write:
-        args.out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
-    return 0
+    return records.finish(payload, args)
 
 
 if __name__ == "__main__":

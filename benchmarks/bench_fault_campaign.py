@@ -20,24 +20,25 @@ from conftest import banner, run_once
 from repro.harness.experiments import experiment_fault_campaign
 from repro.harness.report import format_table
 
+import records
+
 FAULT_TARGET = 1_200
 
 
-def check_campaign(result, fault_target):
-    assert result["total_faults"] >= fault_target, (
-        f"campaign injected only {result['total_faults']} faults, "
-        f"wanted >= {fault_target}"
-    )
-    assert result["total_violations"] == 0, (
-        f"{result['total_violations']} invariant violations survived the campaign"
-    )
-    assert result["total_lost_keys"] == 0, (
-        f"{result['total_lost_keys']} keys lost or invented under faults"
-    )
-    assert result["quarantine_events"] > 0, "no unit was ever quarantined"
-    assert result["disable_events"] > 0, "adaptation never disabled itself"
-    assert result["degradation_campaign_degraded"]
-    assert result["degradation_campaign_quarantined"] > 0
+def campaign_records(result, fault_target):
+    """Enough faults fired, nothing was damaged, and the manager noticed."""
+    return [
+        records.record(key, int(result[key]), unit, "wall", op, bound)
+        for key, unit, op, bound in (
+            ("total_faults", "count", ">=", fault_target),
+            ("total_violations", "count", "==", 0),
+            ("total_lost_keys", "count", "==", 0),
+            ("quarantine_events", "count", ">=", 1),
+            ("disable_events", "count", ">=", 1),
+            ("degradation_campaign_degraded", "bool", "==", 1),
+            ("degradation_campaign_quarantined", "count", ">=", 1),
+        )
+    ]
 
 
 @pytest.mark.faults
@@ -52,7 +53,7 @@ def test_fault_campaign(benchmark):
         f"quarantine events {result['quarantine_events']}, "
         f"disable events {result['disable_events']}"
     )
-    check_campaign(result, FAULT_TARGET)
+    assert not records.failures(campaign_records(result, FAULT_TARGET))
 
 
 def main(argv=None) -> int:
@@ -74,7 +75,11 @@ def main(argv=None) -> int:
         f"violations {result['total_violations']}, "
         f"lost keys {result['total_lost_keys']}"
     )
-    check_campaign(result, args.faults)
+    failed = records.failures(campaign_records(result, args.faults))
+    for failure in failed:
+        print(f"REGRESSION: {failure}")
+    if failed:
+        return 1
     print("fault campaign passed: zero invariant violations, zero lost keys")
     return 0
 

@@ -14,11 +14,14 @@ histograms and ``Histogram.quantile``:
   the accepted work's p999 bounded, instead of the unbounded queueing
   collapse the no-admission leg shows.
 
-Regression checking compares the two *ratios* (collapse vs controlled),
-which are machine-independent in direction; because a queueing collapse
-grows with drain budget, baseline ratios are clamped to 2x the required
-floor before the tolerance is applied — a faster machine must still
-beat the acceptance bar, not the raw collapse of the baseline machine.
+The records (see ``records.py``) gate both ratios at >= 2x, the
+admitted p999 at <= 4s and the shed count at >= 1 on every run.  With
+``--check`` the two *ratios* (collapse vs controlled), which are
+machine-independent in direction, drift-gate against the baseline.
+Because a queueing collapse grows with drain budget, each drift record
+carries the ratio capped at 1.5x its acceptance bar — a faster machine
+must still beat the acceptance bar, not the raw collapse of the
+baseline machine.
 
 Run directly::
 
@@ -32,18 +35,21 @@ or through pytest (reduced scale)::
 """
 
 import argparse
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.harness.experiments_net import experiment_net_bench
 
+import records
+
 COALESCE_P99_REQUIRED = 2.0
 ADMISSION_P999_RATIO_REQUIRED = 2.0
 #: Absolute ceiling on the admitted work's p999 under 2x overload; the
 #: inflight bound keeps the real figure near 1s even on slow machines.
 ADMISSION_P999_BOUND_S = 4.0
+#: A drift record carries its ratio capped at this multiple of the bar.
+RATIO_CAP = 1.5
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_FILE = REPO_ROOT / "BENCH_PR7.json"
 
@@ -82,7 +88,7 @@ def run_net_bench(
             "mean_batch": entry["mean_batch"],
         }
 
-    return {
+    payload = {
         "suite": "PR7 network front-end tail-latency bench",
         "tenants": num_tenants,
         "keys_per_tenant": keys_per_tenant,
@@ -110,6 +116,37 @@ def run_net_bench(
             "admission_sheds": result["admission_sheds"],
         },
     }
+    payload["records"] = headline_records(payload)
+    return payload
+
+
+def headline_records(payload):
+    """Both ratios >= 2x, admitted p999 <= 4s, some sheds, ratio drift."""
+    headline = payload["headline"]
+    rows = []
+    for metric, required in (
+        ("coalescing_p99_ratio", headline["coalescing_required"]),
+        ("admission_p999_ratio", headline["admission_ratio_required"]),
+    ):
+        ratio = headline[metric]
+        rows.append(records.record(metric, ratio, "x", "wall", ">=", required))
+        rows.append(
+            records.record(f"{metric}.capped", min(ratio, RATIO_CAP * required), "x", "wall", ">=")
+        )
+    rows.append(
+        records.record(
+            "admission_p999_s",
+            headline["admission_p999_s"],
+            "s",
+            "wall",
+            "<=",
+            headline["admission_p999_bound_s"],
+        )
+    )
+    rows.append(
+        records.record("admission_sheds", headline["admission_sheds"], "count", "wall", ">=", 1)
+    )
+    return rows
 
 
 def format_report(payload):
@@ -127,7 +164,9 @@ def format_report(payload):
             f"p99 {entry['p99_s'] * 1e3:8.2f}ms  p999 {entry['p999_s'] * 1e3:8.2f}ms  "
             f"mean batch {entry['mean_batch']:.1f}"
         )
-    lines.append(f"  -> p99 ratio {coalescing['p99_ratio']:.2f}x (require >= {COALESCE_P99_REQUIRED}x)")
+    lines.append(
+        f"  -> p99 ratio {coalescing['p99_ratio']:.2f}x (require >= {COALESCE_P99_REQUIRED}x)"
+    )
     lines.append(f"overload @ {payload['offered_rps']['overload']:.0f}/s offered:")
     for mode, label in (("off", "no-admission"), ("on", "admission")):
         entry = admission[mode]
@@ -144,113 +183,26 @@ def format_report(payload):
     return "\n".join(lines)
 
 
-def check_headline(payload):
-    """The acceptance claims from ISSUE.md, gated on quantile figures."""
-    headline = payload["headline"]
-    assert headline["coalescing_p99_ratio"] >= COALESCE_P99_REQUIRED, (
-        f"coalescing cut p99 by only {headline['coalescing_p99_ratio']:.2f}x at the "
-        f"same offered load; the claim requires >= {COALESCE_P99_REQUIRED}x"
-    )
-    assert headline["admission_sheds"] > 0, (
-        "admission control shed nothing under 2x overload — backpressure "
-        "responses never fired"
-    )
-    assert headline["admission_p999_s"] <= ADMISSION_P999_BOUND_S, (
-        f"admitted p999 of {headline['admission_p999_s']:.2f}s under 2x overload "
-        f"exceeds the {ADMISSION_P999_BOUND_S}s bound — admission is not "
-        "keeping the tail bounded"
-    )
-    assert headline["admission_p999_ratio"] >= ADMISSION_P999_RATIO_REQUIRED, (
-        f"admission improved p999 by only {headline['admission_p999_ratio']:.2f}x "
-        f"over unbounded queueing; the claim requires >= {ADMISSION_P999_RATIO_REQUIRED}x"
-    )
-    return headline
-
-
-def _ratio_floor(baseline_ratio, required, tolerance):
-    """Tolerance floor for a collapse ratio.
-
-    Collapse magnitude scales with drain budget, run duration, and
-    machine speed, so a baseline of 40x must not force future runs to
-    hit 28x: the baseline is clamped to 1.5x the acceptance bar before
-    tolerance applies, and the floor never drops below the bar itself.
-    """
-    effective = min(baseline_ratio, 1.5 * required)
-    return max(required, effective * (1.0 - tolerance))
-
-
-def check_against_baseline(payload, baseline, tolerance):
-    """Fail on ratio regressions beyond ``tolerance`` (clamped, see above)."""
-    failures = []
-    checks = [
-        (
-            "coalescing p99 ratio",
-            payload["coalescing"]["p99_ratio"],
-            baseline.get("coalescing", {}).get("p99_ratio"),
-            COALESCE_P99_REQUIRED,
-        ),
-        (
-            "admission p999 ratio",
-            payload["admission"]["p999_ratio"],
-            baseline.get("admission", {}).get("p999_ratio"),
-            ADMISSION_P999_RATIO_REQUIRED,
-        ),
-    ]
-    for name, current, past, required in checks:
-        if past is None:
-            failures.append(f"{name}: missing from baseline")
-            continue
-        floor = _ratio_floor(past, required, tolerance)
-        if current < floor:
-            failures.append(
-                f"{name}: {current:.2f}x fell below {floor:.2f}x "
-                f"(baseline {past:.2f}x clamped to {1.5 * required:.1f}x "
-                f"- {tolerance:.0%} tolerance)"
-            )
-    baseline_sheds = baseline.get("admission", {}).get("sheds", 0)
-    if baseline_sheds > 0 and payload["admission"]["sheds"] == 0:
-        failures.append("admission sheds: baseline shed requests, current run shed none")
-    return failures
-
-
 @pytest.mark.perf
 def test_net_bench_headline():
     payload = run_net_bench(
         keys_per_tenant=2_000, duration=0.8, drain_timeout=6.0, probe_duration=0.5
     )
     print(format_report(payload))
-    check_headline(payload)
+    assert not records.failures(payload["records"])
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Network front-end bench (PR 7).")
     parser.add_argument("--keys", type=int, default=5_000, help="keys per tenant")
     parser.add_argument("--tenants", type=int, default=4)
-    parser.add_argument("--duration", type=float, default=1.5, help="seconds of offered arrivals per leg")
+    parser.add_argument(
+        "--duration", type=float, default=1.5, help="seconds of offered arrivals per leg"
+    )
     parser.add_argument("--drain-timeout", type=float, default=8.0)
     parser.add_argument("--probe-duration", type=float, default=0.8)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=RESULT_FILE,
-        help=f"result JSON path (default {RESULT_FILE})",
-    )
-    parser.add_argument(
-        "--no-write", action="store_true", help="skip writing the result JSON"
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        help="baseline JSON to compare latency ratios against",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.30,
-        help="allowed relative ratio regression vs the baseline (default 0.30)",
-    )
+    records.add_arguments(parser, RESULT_FILE, 0.30)
     args = parser.parse_args(argv)
     payload = run_net_bench(
         keys_per_tenant=args.keys,
@@ -261,22 +213,7 @@ def main(argv=None) -> int:
         seed=args.seed,
     )
     print(format_report(payload))
-    check_headline(payload)
-    if args.check is not None:
-        baseline = json.loads(args.check.read_text())
-        failures = check_against_baseline(payload, baseline, args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print(
-            f"no tail-latency regressions vs {args.check} "
-            f"(tolerance {args.tolerance:.0%})"
-        )
-    if not args.no_write:
-        args.out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
-    return 0
+    return records.finish(payload, args)
 
 
 if __name__ == "__main__":

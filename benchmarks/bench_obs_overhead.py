@@ -40,17 +40,18 @@ Run directly::
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py \
         --check BENCH_PR3.json --tolerance 0.25
 
-Two gates are enforced, and they are different claims:
+Each gated share carries two records (see ``records.py``), and they are
+different claims:
 
 * the **absolute** headline bound — gate share <= 5% on every family —
-  always runs (:func:`check_headline`); it is the documented contract.
-* the **relative** regression gate — gate share within ``--tolerance``
-  (default 25%) of the committed baseline — runs only with ``--check``
-  and catches creep long before the absolute bound is at risk.
+  always runs; it is the documented contract.
+* the **drift** gate — gate share within ``--tolerance`` (default 25%)
+  of the committed baseline — runs only with ``--check`` and catches
+  creep long before the absolute bound is at risk.
 
 Gate share depends on tree depth (shallower trees -> faster lookups ->
-larger share), so baseline comparisons require the same ``--keys`` as
-the committed baseline; :func:`check_against_baseline` enforces it.
+larger share), so a ``keys`` drift record with op ``==`` refuses a
+baseline taken at a different ``--keys``.
 
 or through pytest (reduced scale)::
 
@@ -59,7 +60,6 @@ or through pytest (reduced scale)::
 
 import argparse
 import asyncio
-import json
 import random
 import time
 from pathlib import Path
@@ -78,9 +78,11 @@ from repro.net.server import NetServer
 from repro.net.tenancy import demo_directory
 from repro.obs import MetricsRegistry, Telemetry, active, active_tracer
 
+import records
+
 DEFAULT_KEYS = 4_000
-OVERHEAD_BOUND = 0.05          # disabled-telemetry gate share per lookup
-TRACE_SAMPLE_EVERY = 64        # op-span sampling in the traced mode
+OVERHEAD_BOUND = 0.05  # disabled-telemetry gate share per lookup
+TRACE_SAMPLE_EVERY = 64  # op-span sampling in the traced mode
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_FILE = REPO_ROOT / "BENCH_PR3.json"
 NET_RESULT_FILE = REPO_ROOT / "BENCH_PR8.json"
@@ -97,16 +99,6 @@ NET_SAMPLING_LEGS = (
 #: flush gates, the router's route-span and pool-adoption gates, the
 #: shard op gate, and the WAL append gate.
 NET_GATE_READS = 8
-
-
-def _best_of(runs, func):
-    """Fastest wall-clock of ``runs`` executions (noise floor, not mean)."""
-    best = float("inf")
-    for _ in range(runs):
-        start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def measure_gate_ns(iterations=200_000, runs=5):
@@ -127,8 +119,8 @@ def measure_gate_ns(iterations=200_000, runs=5):
         for _ in indices:
             pass
 
-    probed_time = _best_of(runs, probed)
-    bare_time = _best_of(runs, bare)
+    probed_time = records.best_of(runs, probed)
+    bare_time = records.best_of(runs, bare)
     return max(0.0, (probed_time - bare_time) / iterations * 1e9)
 
 
@@ -172,18 +164,12 @@ def _build_lookup_loops(num_keys):
     trie = HybridTrie(byte_pairs)
 
     return {
-        "bptree_succinct": (
-            lambda: [tree.lookup(key) for key in probes], len(probes)),
-        "bptree_adaptive": (
-            lambda: [adaptive.lookup(key) for key in probes], len(probes)),
-        "dualstage": (
-            lambda: [dual.lookup(key) for key in probes], len(probes)),
-        "art": (
-            lambda: [art.lookup(key) for key in byte_probes], len(byte_probes)),
-        "fst": (
-            lambda: [fst.lookup(key) for key in byte_probes], len(byte_probes)),
-        "hybridtrie": (
-            lambda: [trie.lookup(key) for key in byte_probes], len(byte_probes)),
+        "bptree_succinct": (lambda: [tree.lookup(key) for key in probes], len(probes)),
+        "bptree_adaptive": (lambda: [adaptive.lookup(key) for key in probes], len(probes)),
+        "dualstage": (lambda: [dual.lookup(key) for key in probes], len(probes)),
+        "art": (lambda: [art.lookup(key) for key in byte_probes], len(byte_probes)),
+        "fst": (lambda: [fst.lookup(key) for key in byte_probes], len(byte_probes)),
+        "hybridtrie": (lambda: [trie.lookup(key) for key in byte_probes], len(byte_probes)),
     }
 
 
@@ -195,13 +181,13 @@ def run_suite(num_keys=DEFAULT_KEYS, runs=3):
     families = {}
 
     for family, (loop, total_ops) in loops.items():
-        off_time = _best_of(runs, loop)
+        off_time = records.best_of(runs, loop)
 
         with Telemetry(registry=MetricsRegistry(), tracer=None):
-            metrics_time = _best_of(runs, loop)
+            metrics_time = records.best_of(runs, loop)
 
         with Telemetry.with_memory_trace(op_sample_every=TRACE_SAMPLE_EVERY):
-            traced_time = _best_of(runs, loop)
+            traced_time = records.best_of(runs, loop)
 
         off_ns_per_op = off_time / total_ops * 1e9
         families[family] = {
@@ -214,7 +200,7 @@ def run_suite(num_keys=DEFAULT_KEYS, runs=3):
             "traced_overhead": round(traced_time / off_time - 1.0, 4),
         }
 
-    return {
+    payload = {
         "suite": "PR3 observability overhead suite",
         "keys": num_keys,
         "gate_ns": round(gate_ns, 2),
@@ -222,6 +208,20 @@ def run_suite(num_keys=DEFAULT_KEYS, runs=3):
         "trace_sample_every": TRACE_SAMPLE_EVERY,
         "families": families,
     }
+    payload["records"] = headline_records(payload)
+    return payload
+
+
+def headline_records(payload):
+    """Gate share <= 5% on every family, each share's drift, and ``keys``."""
+    rows = []
+    for family, stats in payload["families"].items():
+        metric = f"{family}.gate_share"
+        share = stats["gate_share"]
+        rows.append(records.record(metric, share, "frac", "wall", "<=", payload["overhead_bound"]))
+        rows.append(records.record(metric, share, "frac", "wall", "<="))
+    rows.append(records.record("keys", payload["keys"], "keys", "wall", "=="))
+    return rows
 
 
 def format_report(payload):
@@ -237,55 +237,6 @@ def format_report(payload):
             f"traced {stats['traced_overhead']:>+7.1%}"
         )
     return "\n".join(lines)
-
-
-def check_headline(payload):
-    """The acceptance claim: gate share <= 5% on every family.
-
-    Failures name each offending family with the numbers behind the
-    share, so a CI log line is enough to see what regressed.
-    """
-    bound = payload.get("overhead_bound", OVERHEAD_BOUND)
-    failures = [
-        f"family '{family}': disabled-telemetry gate share "
-        f"{stats['gate_share']:.2%} exceeds the {bound:.0%} absolute bound "
-        f"(gate {payload['gate_ns']:.1f} ns / lookup "
-        f"{stats['off_ns_per_op']:.1f} ns)"
-        for family, stats in payload["families"].items()
-        if stats["gate_share"] > bound
-    ]
-    assert not failures, "\n".join(failures)
-
-
-def check_against_baseline(payload, baseline, tolerance):
-    """Fail on gate-share regressions beyond ``tolerance``.
-
-    Gate share (gate ns / per-lookup ns) is a ratio of two measurements
-    on the same machine, so it is far more portable than raw ops/sec.
-    Families present in the baseline but missing now count as
-    regressions; the absolute <= 5% bound is enforced separately by
-    :func:`check_headline`.
-    """
-    failures = []
-    if baseline.get("keys") != payload["keys"]:
-        return [
-            f"baseline measured at {baseline.get('keys')} keys but this run "
-            f"used {payload['keys']}; gate share is depth-dependent — rerun "
-            f"with matching --keys"
-        ]
-    for family, stats in baseline.get("families", {}).items():
-        current = payload["families"].get(family)
-        if current is None:
-            failures.append(f"{family}: missing from current run")
-            continue
-        ceiling = stats["gate_share"] * (1.0 + tolerance)
-        if current["gate_share"] > ceiling:
-            failures.append(
-                f"{family}: gate share {current['gate_share']:.2%} rose above "
-                f"{ceiling:.2%} (baseline {stats['gate_share']:.2%} "
-                f"+ {tolerance:.0%} tolerance)"
-            )
-    return failures
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +284,7 @@ def measure_span_choreography_ns(iterations=4_000, runs=3):
                 tracer.finish(server, status=0)
                 tracer.finish(root, status=0)
 
-        best = _best_of(runs, choreograph)
+        best = records.best_of(runs, choreograph)
     return best / iterations * 1e9
 
 
@@ -345,9 +296,7 @@ async def _measure_net_ops_per_sec(trace_sample_every, num_keys, duration, concu
     counts = [0] * concurrency
     try:
         clients = [
-            await NetClient.connect(
-                "127.0.0.1", server.port, trace_sample_every=trace_sample_every
-            )
+            await NetClient.connect("127.0.0.1", server.port, trace_sample_every=trace_sample_every)
             for _ in range(concurrency)
         ]
         try:
@@ -361,9 +310,7 @@ async def _measure_net_ops_per_sec(trace_sample_every, num_keys, duration, concu
                     counts[slot] += 1
 
             begin = time.perf_counter()
-            await asyncio.gather(
-                *(worker(slot, client) for slot, client in enumerate(clients))
-            )
+            await asyncio.gather(*(worker(slot, client) for slot, client in enumerate(clients)))
             elapsed = time.perf_counter() - begin
         finally:
             for client in clients:
@@ -388,15 +335,11 @@ def run_net_suite(num_keys=DEFAULT_KEYS, duration=1.0, concurrency=8):
     legs = {}
     for leg_key, sample_every in NET_SAMPLING_LEGS:
         if sample_every == 0:
-            ops = asyncio.run(
-                _measure_net_ops_per_sec(0, num_keys, duration, concurrency)
-            )
+            ops = asyncio.run(_measure_net_ops_per_sec(0, num_keys, duration, concurrency))
         else:
             with Telemetry.with_memory_trace(op_sample_every=1):
                 ops = asyncio.run(
-                    _measure_net_ops_per_sec(
-                        sample_every, num_keys, duration, concurrency
-                    )
+                    _measure_net_ops_per_sec(sample_every, num_keys, duration, concurrency)
                 )
         legs[leg_key] = {
             "trace_sample_every": sample_every,
@@ -410,7 +353,7 @@ def run_net_suite(num_keys=DEFAULT_KEYS, duration=1.0, concurrency=8):
         "sampled_1pct_share": round((gates_ns + span_ns / 100.0) / request_ns, 6),
         "sampled_100pct_share": round((gates_ns + span_ns) / request_ns, 6),
     }
-    return {
+    payload = {
         "suite": "PR8 distributed tracing overhead",
         "keys": num_keys,
         "duration": duration,
@@ -423,6 +366,25 @@ def run_net_suite(num_keys=DEFAULT_KEYS, duration=1.0, concurrency=8):
         "legs": legs,
         "headline": shares,
     }
+    payload["records"] = net_headline_records(payload)
+    return payload
+
+
+def net_headline_records(payload):
+    """Disabled and 1%-sampled shares <= 5%, and every share's drift.
+
+    The 100% share has no absolute bound — full tracing is a debug mode,
+    and its cost is the documented span choreography, not a regression.
+    """
+    rows = []
+    for key, share in payload["headline"].items():
+        metric = f"tracing.{key}"
+        if key != "sampled_100pct_share":
+            rows.append(
+                records.record(metric, share, "frac", "modeled", "<=", payload["overhead_bound"])
+            )
+        rows.append(records.record(metric, share, "frac", "modeled", "<="))
+    return rows
 
 
 def format_net_report(payload):
@@ -447,60 +409,18 @@ def format_net_report(payload):
     return "\n".join(lines)
 
 
-def check_net_headline(payload):
-    """The PR 8 acceptance gate: disabled and 1%-sampled shares <= 5%.
-
-    The 100% leg is reported but not gated — full tracing is a debug
-    mode, and its cost is the documented span choreography, not a
-    regression.
-    """
-    bound = payload.get("overhead_bound", OVERHEAD_BOUND)
-    headline = payload["headline"]
-    failures = [
-        f"{key}: modeled tracing share {headline[key]:.3%} exceeds the "
-        f"{bound:.0%} bound (gates {payload['num_gate_reads']}x"
-        f"{payload['gate_ns']:.1f} ns + sampled span work vs request "
-        f"{payload['request_ns']:,.0f} ns)"
-        for key in ("disabled_share", "sampled_1pct_share")
-        if headline[key] > bound
-    ]
-    assert not failures, "\n".join(failures)
-
-
-def check_net_against_baseline(payload, baseline, tolerance):
-    """Fail on modeled-share regressions beyond ``tolerance``.
-
-    Shares are ratios of same-machine measurements, so they travel
-    better than raw req/s; the absolute <= 5% bound is enforced
-    separately by :func:`check_net_headline`.
-    """
-    failures = []
-    for key, share in baseline.get("headline", {}).items():
-        current = payload["headline"].get(key)
-        if current is None:
-            failures.append(f"{key}: missing from current run")
-            continue
-        ceiling = share * (1.0 + tolerance)
-        if current > ceiling:
-            failures.append(
-                f"{key}: modeled share {current:.3%} rose above {ceiling:.3%} "
-                f"(baseline {share:.3%} + {tolerance:.0%} tolerance)"
-            )
-    return failures
-
-
 @pytest.mark.perf
 def test_obs_overhead_headline():
     payload = run_suite(num_keys=4_000)
     print(format_report(payload))
-    check_headline(payload)
+    assert not records.failures(payload["records"])
 
 
 @pytest.mark.perf
 def test_net_tracing_overhead_headline():
     payload = run_net_suite(num_keys=1_000, duration=0.3, concurrency=4)
     print(format_net_report(payload))
-    check_net_headline(payload)
+    assert not records.failures(payload["records"])
 
 
 def main(argv=None) -> int:
@@ -525,61 +445,19 @@ def main(argv=None) -> int:
         default=8,
         help="closed-loop net clients (--net only; default 8)",
     )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help=f"result JSON path (default {RESULT_FILE}, or {NET_RESULT_FILE} with --net)",
-    )
-    parser.add_argument(
-        "--no-write", action="store_true", help="skip writing the result JSON"
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        help="baseline JSON to compare gate/modeled shares against",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed relative share regression vs the baseline (default 0.25)",
-    )
+    records.add_arguments(parser, None, 0.25)
     args = parser.parse_args(argv)
-    out = args.out if args.out is not None else (
-        NET_RESULT_FILE if args.net else RESULT_FILE
-    )
+    if args.out is None:
+        args.out = NET_RESULT_FILE if args.net else RESULT_FILE
     if args.net:
         payload = run_net_suite(
             num_keys=args.keys, duration=args.duration, concurrency=args.concurrency
         )
         print(format_net_report(payload))
-        headline_check = check_net_headline
-        baseline_check = check_net_against_baseline
     else:
         payload = run_suite(num_keys=args.keys)
         print(format_report(payload))
-        headline_check = check_headline
-        baseline_check = check_against_baseline
-    try:
-        headline_check(payload)
-    except AssertionError as exc:
-        for line in str(exc).splitlines():
-            print(f"HEADLINE FAILURE: {line}")
-        return 1
-    if args.check is not None:
-        baseline = json.loads(args.check.read_text())
-        failures = baseline_check(payload, baseline, args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print(f"no share regressions vs {args.check} (tolerance {args.tolerance:.0%})")
-    if not args.no_write:
-        out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {out}")
-    return 0
+    return records.finish(payload, args)
 
 
 if __name__ == "__main__":

@@ -7,9 +7,10 @@ than per-key loops on at least two families, because the batch API
 amortizes tree descent (shared-prefix resumption), sampling-gate
 drains, and counter updates.
 
-Regression checking compares *speedup ratios* (batched / single), not
-absolute ops/sec — ratios are stable across machines while raw
-throughput is not.
+The records (see ``records.py``) gate the second-best lookup speedup
+at >= 2x on every run, and with ``--check`` every family's *speedup
+ratio* (batched / single) against the baseline, not absolute ops/sec —
+ratios are stable across machines while raw throughput is not.
 
 Run directly::
 
@@ -23,9 +24,7 @@ or through pytest (reduced scale)::
 """
 
 import argparse
-import json
 import random
-import time
 from pathlib import Path
 
 import pytest
@@ -38,26 +37,17 @@ from repro.dualstage.index import DualStageIndex, StaticEncoding
 from repro.fst.trie import FST
 from repro.hybridtrie.tree import HybridTrie
 
+import records
+
 DEFAULT_KEYS = 20_000
-SPEEDUP_FAMILIES_REQUIRED = 2
 SPEEDUP_REQUIRED = 2.0
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_FILE = REPO_ROOT / "BENCH_PR2.json"
 
 
-def _best_of(runs, func):
-    """Fastest wall-clock of ``runs`` executions (noise floor, not mean)."""
-    best = float("inf")
-    for _ in range(runs):
-        start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def _measure(single, batched, total_ops, runs=3):
-    single_time = _best_of(runs, single)
-    batched_time = _best_of(runs, batched)
+    single_time = records.best_of(runs, single)
+    batched_time = records.best_of(runs, batched)
     return {
         "single_ops_per_sec": round(total_ops / single_time, 1),
         "batched_ops_per_sec": round(total_ops / batched_time, 1),
@@ -154,9 +144,7 @@ def run_suite(num_keys=DEFAULT_KEYS):
         target = BPlusTree(LeafEncoding.GAPPED)
         target.insert_many(fresh_pairs)
 
-    inserts["bptree_gapped"] = _measure(
-        single_insert_tree, batched_insert_tree, len(fresh_pairs)
-    )
+    inserts["bptree_gapped"] = _measure(single_insert_tree, batched_insert_tree, len(fresh_pairs))
 
     def single_insert_dual():
         target = DualStageIndex(StaticEncoding.SUCCINCT)
@@ -167,16 +155,30 @@ def run_suite(num_keys=DEFAULT_KEYS):
         target = DualStageIndex(StaticEncoding.SUCCINCT)
         target.insert_many(fresh_pairs)
 
-    inserts["dualstage"] = _measure(
-        single_insert_dual, batched_insert_dual, len(fresh_pairs)
-    )
+    inserts["dualstage"] = _measure(single_insert_dual, batched_insert_dual, len(fresh_pairs))
 
-    return {
+    payload = {
         "suite": "PR2 batched-operation perf suite",
         "keys": num_keys,
         "lookups": families,
         "inserts": inserts,
     }
+    payload["records"] = headline_records(payload)
+    return payload
+
+
+def headline_records(payload):
+    """The acceptance claim (>= 2x batched lookups on >= 2 families, i.e.
+    a second-best lookup speedup >= 2x) plus a drift record per family."""
+    second_best = sorted(stats["speedup"] for stats in payload["lookups"].values())[-2]
+    metric = "lookups.2nd_best_speedup"
+    rows = [records.record(metric, second_best, "x", "wall", ">=", SPEEDUP_REQUIRED)]
+    for section in ("lookups", "inserts"):
+        for family, stats in payload[section].items():
+            rows.append(
+                records.record(f"{section}.{family}.speedup", stats["speedup"], "x", "wall", ">=")
+            )
+    return rows
 
 
 def format_report(payload):
@@ -192,91 +194,21 @@ def format_report(payload):
     return "\n".join(lines)
 
 
-def check_headline(payload):
-    """The acceptance claim: >= 2x batched lookups on >= 2 families."""
-    fast = [
-        family
-        for family, stats in payload["lookups"].items()
-        if stats["speedup"] >= SPEEDUP_REQUIRED
-    ]
-    assert len(fast) >= SPEEDUP_FAMILIES_REQUIRED, (
-        f"only {fast} reached a {SPEEDUP_REQUIRED}x batched-lookup speedup; "
-        f"need {SPEEDUP_FAMILIES_REQUIRED} families"
-    )
-    return fast
-
-
-def check_against_baseline(payload, baseline, tolerance):
-    """Fail on speedup-ratio regressions beyond ``tolerance``.
-
-    Only ratios are compared (machine-independent); families present in
-    the baseline but missing from the current run count as regressions.
-    """
-    failures = []
-    for section in ("lookups", "inserts"):
-        for family, stats in baseline.get(section, {}).items():
-            current = payload.get(section, {}).get(family)
-            if current is None:
-                failures.append(f"{section}/{family}: missing from current run")
-                continue
-            floor = stats["speedup"] * (1.0 - tolerance)
-            if current["speedup"] < floor:
-                failures.append(
-                    f"{section}/{family}: speedup {current['speedup']:.2f}x fell "
-                    f"below {floor:.2f}x (baseline {stats['speedup']:.2f}x "
-                    f"- {tolerance:.0%} tolerance)"
-                )
-    return failures
-
-
 @pytest.mark.perf
 def test_perf_suite_headline():
     payload = run_suite(num_keys=4_000)
     print(format_report(payload))
-    fast = check_headline(payload)
-    assert fast  # at least the headline families exist
+    assert not records.failures(payload["records"])
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Batched-ops perf suite (PR 2).")
     parser.add_argument("--keys", type=int, default=DEFAULT_KEYS)
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=RESULT_FILE,
-        help=f"result JSON path (default {RESULT_FILE})",
-    )
-    parser.add_argument(
-        "--no-write", action="store_true", help="skip writing the result JSON"
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        help="baseline JSON to compare speedup ratios against",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.30,
-        help="allowed relative speedup regression vs the baseline (default 0.30)",
-    )
+    records.add_arguments(parser, RESULT_FILE, 0.30)
     args = parser.parse_args(argv)
     payload = run_suite(num_keys=args.keys)
     print(format_report(payload))
-    check_headline(payload)
-    if args.check is not None:
-        baseline = json.loads(args.check.read_text())
-        failures = check_against_baseline(payload, baseline, args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print(f"no speedup regressions vs {args.check} (tolerance {args.tolerance:.0%})")
-    if not args.no_write:
-        args.out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
-    return 0
+    return records.finish(payload, args)
 
 
 if __name__ == "__main__":

@@ -18,8 +18,10 @@ Two claims, one machine-readable ``BENCH_PR9.json`` at the repo root:
   profiles must survive recovery, and the fenced replica must have been
   rebuilt from the authoritative copy.
 
-Regression checking compares the modeled speedup ratio (identical /
-divergent), which is machine-independent.
+The records (see ``records.py``) gate the modeled speedup at >= 1.3x
+and every fault-leg count on every run, and with ``--check`` the
+modeled speedup ratio (identical / divergent), which is
+machine-independent, against the baseline.
 
 Run directly::
 
@@ -33,7 +35,6 @@ or through pytest (reduced scale)::
 """
 
 import argparse
-import json
 import random
 import tempfile
 from pathlib import Path
@@ -44,6 +45,8 @@ from repro.durability.manager import DurabilityManager
 from repro.faults.injector import FaultInjector
 from repro.harness.experiments_replication import run_replication_comparison
 from repro.service.router import ShardRouter
+
+import records
 
 DEFAULT_KEYS = 16_000
 REPLICATION_FACTOR = 3
@@ -69,10 +72,8 @@ def _workload_scale(num_keys):
 def run_replication_bench(num_keys=DEFAULT_KEYS, factor=REPLICATION_FACTOR, seed=0):
     """Run both routing legs; returns the BENCH_PR9.json payload."""
     scale = _workload_scale(num_keys)
-    comparison = run_replication_comparison(
-        num_keys=num_keys, factor=factor, seed=seed, **scale
-    )
-    return {
+    comparison = run_replication_comparison(num_keys=num_keys, factor=factor, seed=seed, **scale)
+    payload = {
         "suite": "PR9 divergent replica bench",
         "keys": num_keys,
         "replication_factor": factor,
@@ -86,6 +87,33 @@ def run_replication_bench(num_keys=DEFAULT_KEYS, factor=REPLICATION_FACTOR, seed
             "required": HEADLINE_SPEEDUP_REQUIRED,
         },
     }
+    payload["records"] = headline_records(payload)
+    return payload
+
+
+def headline_records(payload):
+    """Divergent replicas >= 1.3x identical ones, and the speedup's drift."""
+    speedup = payload["headline"]["divergent_speedup"]
+    metric = "replication.divergent_speedup"
+    return [
+        records.record(metric, speedup, "x", "modeled", ">=", payload["headline"]["required"]),
+        records.record(metric, speedup, "x", "modeled", ">="),
+    ]
+
+
+def fault_leg_records(summary):
+    """The kill injected a fault, fenced and rebuilt a replica, kept the
+    divergence profiles, and lost no acked write."""
+    return [
+        records.record(f"replication.{key}", int(summary[key]), unit, "wall", op, bound)
+        for key, unit, op, bound in (
+            ("faults_injected", "count", ">=", 1),
+            ("replicas_downed", "count", ">=", 1),
+            ("replicas_rebuilt", "count", ">=", 1),
+            ("profiles_preserved", "bool", "==", 1),
+            ("lost_acked_writes", "count", "==", 0),
+        )
+    ]
 
 
 def run_fault_leg(
@@ -118,9 +146,7 @@ def run_fault_leg(
             durability=durability,
         )
         acked = dict(pairs)
-        expected_profiles = [
-            replica.profile.name for replica in router.table.shards[0].replicas
-        ]
+        expected_profiles = [replica.profile.name for replica in router.table.shards[0].replicas]
         faults_injected = 0
         kill_at = num_batches // 3
         for index in range(num_batches):
@@ -152,13 +178,10 @@ def run_fault_leg(
         try:
             items = sorted(acked.items())
             found = recovered.get_many([key for key, _ in items])
-            lost = sum(
-                1 for (_, value), got in zip(items, found) if got != value
-            )
+            lost = sum(1 for (_, value), got in zip(items, found) if got != value)
             recovered.verify()
             recovered_profiles = [
-                replica.profile.name
-                for replica in recovered.table.shards[0].replicas
+                replica.profile.name for replica in recovered.table.shards[0].replicas
             ]
             info = dict(recovered.last_recovery or {})
         finally:
@@ -200,57 +223,11 @@ def format_report(payload):
     return "\n".join(lines)
 
 
-def check_headline(payload):
-    """The acceptance claim: divergent replicas >= 1.3x identical ones."""
-    headline = payload["headline"]
-    assert headline["divergent_speedup"] >= HEADLINE_SPEEDUP_REQUIRED, (
-        f"divergent replicas are only {headline['divergent_speedup']:.2f}x "
-        f"over identical ones; the replication claim requires "
-        f">= {HEADLINE_SPEEDUP_REQUIRED}x"
-    )
-    return headline["divergent_speedup"]
-
-
-def check_fault_leg(summary):
-    """The durability claim: the kill lost nothing and healed."""
-    failures = []
-    if summary["faults_injected"] < 1:
-        failures.append("fault leg injected no WAL append fault")
-    if summary["replicas_downed"] < 1:
-        failures.append("fault leg fenced no replica")
-    if summary["replicas_rebuilt"] < 1:
-        failures.append("recovery rebuilt no replica")
-    if not summary["profiles_preserved"]:
-        failures.append("divergence profiles did not survive recovery")
-    if summary["lost_acked_writes"]:
-        failures.append(
-            f"{summary['lost_acked_writes']} acked writes lost after the kill"
-        )
-    return failures
-
-
-def check_against_baseline(payload, baseline, tolerance):
-    """Fail on headline-speedup regressions beyond ``tolerance``."""
-    failures = []
-    base = baseline.get("headline", {}).get("divergent_speedup")
-    if base is None:
-        failures.append("baseline has no headline.divergent_speedup")
-        return failures
-    floor = base * (1.0 - tolerance)
-    current = payload["headline"]["divergent_speedup"]
-    if current < floor:
-        failures.append(
-            f"divergent speedup {current:.2f}x fell below {floor:.2f}x "
-            f"(baseline {base:.2f}x - {tolerance:.0%} tolerance)"
-        )
-    return failures
-
-
 @pytest.mark.perf
 def test_replication_bench_headline():
     payload = run_replication_bench(num_keys=8_000)
     print(format_report(payload))
-    assert check_headline(payload) >= HEADLINE_SPEEDUP_REQUIRED
+    assert not records.failures(payload["records"])
 
 
 @pytest.mark.faults
@@ -267,27 +244,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Divergent replica bench (PR 9).")
     parser.add_argument("--keys", type=int, default=DEFAULT_KEYS)
     parser.add_argument("--factor", type=int, default=REPLICATION_FACTOR)
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=RESULT_FILE,
-        help=f"result JSON path (default {RESULT_FILE})",
-    )
-    parser.add_argument(
-        "--no-write", action="store_true", help="skip writing the result JSON"
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        help="baseline JSON to compare the headline speedup against",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.30,
-        help="allowed relative speedup regression vs the baseline (default 0.30)",
-    )
+    records.add_arguments(parser, RESULT_FILE, 0.30)
     parser.add_argument(
         "--skip-fault-leg",
         action="store_true",
@@ -297,29 +254,9 @@ def main(argv=None) -> int:
     payload = run_replication_bench(num_keys=args.keys, factor=args.factor)
     if not args.skip_fault_leg:
         payload["fault_leg"] = run_fault_leg(num_keys=max(1000, args.keys // 4))
+        payload["records"] += fault_leg_records(payload["fault_leg"])
     print(format_report(payload))
-    check_headline(payload)
-    if not args.skip_fault_leg:
-        fault_failures = check_fault_leg(payload["fault_leg"])
-        if fault_failures:
-            for failure in fault_failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-    if args.check is not None:
-        baseline = json.loads(args.check.read_text())
-        failures = check_against_baseline(payload, baseline, args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print(
-            f"no headline regressions vs {args.check} "
-            f"(tolerance {args.tolerance:.0%})"
-        )
-    if not args.no_write:
-        args.out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
-    return 0
+    return records.finish(payload, args)
 
 
 if __name__ == "__main__":

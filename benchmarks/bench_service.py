@@ -10,11 +10,14 @@ figure (per-shard counter events priced by the cost model, aggregate
 time = max over shards) carries the scalability claim, the same idiom
 as the Figure-18 concurrency bench.
 
-Regression checking compares *modeled speedup ratios* (N shards / 1
-shard), not absolute ops/sec — ratios are stable across machines.
+The records (see ``records.py``) gate the 4-shard modeled speedup at
+>= 2x on every run, and with ``--check`` the *modeled speedup ratio*
+(N shards / 1 shard) at every shard count against the baseline, not
+absolute ops/sec — ratios are stable across machines.
 
 ``--fault-campaign`` additionally runs a randomized online shard
-split/merge campaign under fault injection and fails on any lost key.
+split/merge campaign under fault injection; its lost-key count is a
+record bounded at zero.
 
 Run directly::
 
@@ -28,7 +31,6 @@ or through pytest (reduced scale)::
 """
 
 import argparse
-import json
 import random
 from pathlib import Path
 
@@ -38,6 +40,8 @@ from repro.faults.injector import FaultInjector, InjectedFault
 from repro.harness.experiments_service import experiment_service_bench
 from repro.service.partition import PartitionError
 from repro.service.router import ShardRouter
+
+import records
 
 DEFAULT_KEYS = 20_000
 HEADLINE_SHARDS = 4
@@ -65,7 +69,7 @@ def run_service_bench(num_keys=DEFAULT_KEYS, family="olc", partitioning="hash"):
             "imbalance": entry["imbalance"],
             "scan_wall_mops": entry["scan_wall_Mops"],
         }
-    return {
+    payload = {
         "suite": "PR4 sharded index service bench",
         "keys": num_keys,
         "family": family,
@@ -77,6 +81,34 @@ def run_service_bench(num_keys=DEFAULT_KEYS, family="olc", partitioning="hash"):
             "required": HEADLINE_SPEEDUP_REQUIRED,
         },
     }
+    payload["records"] = headline_records(payload)
+    return payload
+
+
+def headline_records(payload):
+    """>= 2x modeled speedup at 4 shards, and every shard count's drift."""
+    headline = payload["headline"]
+    rows = [
+        records.record(
+            f"modeled_speedup@{headline['shards']}shards",
+            headline["modeled_speedup"],
+            "x",
+            "modeled",
+            ">=",
+            headline["required"],
+        )
+    ]
+    for shard_count, stats in payload["shards"].items():
+        rows.append(
+            records.record(
+                f"modeled_speedup@{shard_count}shards",
+                stats["modeled_speedup"],
+                "x",
+                "modeled",
+                ">=",
+            )
+        )
+    return rows
 
 
 def run_fault_campaign(num_keys=5_000, rounds=60, seed=0xFA11):
@@ -135,46 +167,11 @@ def format_report(payload):
     return "\n".join(lines)
 
 
-def check_headline(payload):
-    """The acceptance claim: >= 2x modeled lookup throughput at 4 shards."""
-    headline = payload["headline"]
-    assert headline["modeled_speedup"] >= HEADLINE_SPEEDUP_REQUIRED, (
-        f"modeled speedup at {headline['shards']} shards is "
-        f"{headline['modeled_speedup']:.2f}x; the service claim requires "
-        f">= {HEADLINE_SPEEDUP_REQUIRED}x over a single shard"
-    )
-    return headline["modeled_speedup"]
-
-
-def check_against_baseline(payload, baseline, tolerance):
-    """Fail on modeled-speedup regressions beyond ``tolerance``.
-
-    Only speedup ratios are compared (machine-independent); shard counts
-    present in the baseline but missing from the current run count as
-    regressions.
-    """
-    failures = []
-    for shard_count, stats in baseline.get("shards", {}).items():
-        current = payload["shards"].get(shard_count)
-        if current is None:
-            failures.append(f"shards={shard_count}: missing from current run")
-            continue
-        floor = stats["modeled_speedup"] * (1.0 - tolerance)
-        if current["modeled_speedup"] < floor:
-            failures.append(
-                f"shards={shard_count}: modeled speedup "
-                f"{current['modeled_speedup']:.2f}x fell below {floor:.2f}x "
-                f"(baseline {stats['modeled_speedup']:.2f}x "
-                f"- {tolerance:.0%} tolerance)"
-            )
-    return failures
-
-
 @pytest.mark.perf
 def test_service_bench_headline():
     payload = run_service_bench(num_keys=4_000)
     print(format_report(payload))
-    assert check_headline(payload) >= HEADLINE_SPEEDUP_REQUIRED
+    assert not records.failures(payload["records"])
 
 
 @pytest.mark.faults
@@ -189,27 +186,7 @@ def main(argv=None) -> int:
     parser.add_argument("--keys", type=int, default=DEFAULT_KEYS)
     parser.add_argument("--family", default="olc")
     parser.add_argument("--partitioning", default="hash")
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=RESULT_FILE,
-        help=f"result JSON path (default {RESULT_FILE})",
-    )
-    parser.add_argument(
-        "--no-write", action="store_true", help="skip writing the result JSON"
-    )
-    parser.add_argument(
-        "--check",
-        type=Path,
-        default=None,
-        help="baseline JSON to compare modeled speedups against",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.30,
-        help="allowed relative speedup regression vs the baseline (default 0.30)",
-    )
+    records.add_arguments(parser, RESULT_FILE, 0.30)
     parser.add_argument(
         "--fault-campaign",
         action="store_true",
@@ -220,18 +197,6 @@ def main(argv=None) -> int:
         num_keys=args.keys, family=args.family, partitioning=args.partitioning
     )
     print(format_report(payload))
-    check_headline(payload)
-    if args.check is not None:
-        baseline = json.loads(args.check.read_text())
-        failures = check_against_baseline(payload, baseline, args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print(
-            f"no modeled-speedup regressions vs {args.check} "
-            f"(tolerance {args.tolerance:.0%})"
-        )
     if args.fault_campaign:
         summary = run_fault_campaign(num_keys=max(1000, args.keys // 4))
         print(
@@ -240,13 +205,12 @@ def main(argv=None) -> int:
             f"{summary['faults_injected']} faults injected, "
             f"{summary['lost_keys']} lost keys"
         )
-        if summary["lost_keys"]:
-            print("REGRESSION: split/merge campaign lost keys")
-            return 1
-    if not args.no_write:
-        args.out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
-    return 0
+        payload["records"].append(
+            records.record(
+                "fault_campaign.lost_keys", summary["lost_keys"], "count", "wall", "==", 0
+            )
+        )
+    return records.finish(payload, args)
 
 
 if __name__ == "__main__":
